@@ -115,6 +115,9 @@ class EventBuilder {
   EventBuilder& PageWordStore(uint8_t page, uint8_t src) {
     return Emit({Opcode::kPageWord, page, src, static_cast<uint8_t>(PageWordOp::kStore)});
   }
+  EventBuilder& AgeScores(uint8_t queue, uint8_t param, AgeMode mode) {
+    return Emit({Opcode::kAgeScores, queue, param, static_cast<uint8_t>(mode)});
+  }
 
   // Resolves labels and returns the command stream.
   std::vector<Instruction> Build() {

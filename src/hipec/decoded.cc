@@ -278,6 +278,29 @@ class EventDecoder {
           WantIntReadable(inst_.op2, "PageWord src");
         }
         break;
+      case Opcode::kAgeScores: {
+        WantQueue(inst_.op1, "AgeScores queue");
+        if (WantFlagRange(inst_.op3, 1, 2, "AgeScores mode") < 0) {
+          break;
+        }
+        out_.kind = DispatchKind::kAgeScores;
+        out_.target = inst_.op3;  // the mode, as SatDotProduct carries its width
+        // AWRP reads one reward slot; the perceptron reads three weights and writes the
+        // vote sum after them. The run must stay inside the operand array.
+        const bool perceptron = inst_.op3 == static_cast<uint8_t>(AgeMode::kPerceptron);
+        const int reads = perceptron ? 3 : 1;
+        if (static_cast<int>(inst_.op2) + reads + (perceptron ? 1 : 0) > 256) {
+          Error("AgeScores operands: parameter run past the operand array");
+          break;
+        }
+        for (int i = 0; i < reads; ++i) {
+          WantIntReadable(static_cast<uint8_t>(inst_.op2 + i), "AgeScores weight");
+        }
+        if (perceptron) {
+          WantIntWritable(static_cast<uint8_t>(inst_.op2 + reads), "AgeScores votes");
+        }
+        break;
+      }
     }
   }
 

@@ -97,6 +97,8 @@ enum class DispatchKind : uint8_t {
   // integer operand.
   kPageWordLoad,
   kPageWordStore,
+  // a is the queue, b the parameter base slot; the AgeMode rides in DecodedInst::target.
+  kAgeScores,
   // --- superinstructions -----------------------------------------------------------------
   // Adjacent command pairs the fusion pass (DecodePolicy with fuse_superinstructions) folds
   // into one dispatch, halving loop overhead on the dominant fault-path idioms. The fused

@@ -222,6 +222,11 @@ bool HipecEngine::HandleFault(const mach::FaultContext& ctx) {
     counters_.Add(kCtrReusedFrames);
   }
 
+  // Every newly installed page starts with score word 0. Whatever the policy left there
+  // belongs to the frame's previous page, and whether that word survived depends on how the
+  // frame came back (a reused clean victim keeps it, a Flush exchange hands out a zeroed
+  // reserve frame) — that is, on disk timing.
+  page->user_word = 0;
   kernel_->InstallPage(task, ctx.entry, ctx.vaddr, page, ctx.is_write);
   // Convention: the kernel appends the freshly faulted page to the container's active queue;
   // the policy reorganizes its queues on subsequent events. The page variable named by Return

@@ -13,7 +13,7 @@ struct TimeoutSignal {};
 
 // The dispatch loop (dispatch_loop.inc) has a case and a jump-table entry per DispatchKind;
 // this fires when someone grows the IR without teaching the interpreter the new kind.
-static_assert(kDispatchKindCount == 56,
+static_assert(kDispatchKindCount == 57,
               "new DispatchKind: add a handler (and jump-table entry) to dispatch_loop.inc "
               "and update this tripwire");
 
@@ -50,6 +50,21 @@ inline int64_t LoadInt(const OperandEntry& e) {
   std::snprintf(buf, sizeof(buf), "operand 0x%x: %s", index, message);
   throw PolicyError(buf);
 }
+
+// Arith's add, sub and mul wrap in two's complement, as the JIT's native add/sub/imul do;
+// computed through uint64_t so overflow is defined behavior on every path.
+inline int64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) + static_cast<uint64_t>(b));
+}
+inline int64_t WrapSub(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) - static_cast<uint64_t>(b));
+}
+inline int64_t WrapMul(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) * static_cast<uint64_t>(b));
+}
+
+// AgeScores packs the policy value above the pass position: word = value * 1024 + position.
+constexpr int64_t kAgePositionBase = 1024;
 
 // The decoder proved the slot is a page variable; emptiness is a run-time property.
 inline mach::VmPage* RequirePage(uint8_t index, const OperandEntry& e) {
@@ -98,6 +113,64 @@ int64_t SatDotSlots(const OperandEntry* slots, uint8_t base, int n) {
     acc = SatAdd64(acc, SatMul64(weight, feature));
   }
   return acc;
+}
+
+mach::VmPage* SelectByWord(mach::PageQueue* queue, bool want_max) {
+  if (queue->empty()) {
+    throw PolicyError("replacement-policy command on an empty queue");
+  }
+  mach::VmPage* best = queue->head();
+  for (mach::VmPage* p = best->q_next; p != nullptr; p = p->q_next) {
+    // Strict comparisons: ties keep the page nearest the head.
+    if (want_max ? p->user_word > best->user_word : p->user_word < best->user_word) {
+      best = p;
+    }
+  }
+  queue->Remove(best);
+  return best;
+}
+
+void AgeScoresQueue(mach::PageQueue* queue, OperandEntry* slots, uint8_t param, AgeMode mode) {
+  auto position = static_cast<int64_t>(queue->count());
+  if (mode == AgeMode::kAwrp) {
+    const int64_t reward = LoadInt(slots[param]);
+    for (mach::VmPage* p = queue->head(); p != nullptr; p = p->q_next, --position) {
+      int64_t value = p->user_word / kAgePositionBase;
+      if (p->reference) {
+        value = WrapAdd(value, reward);
+        p->reference = false;
+      } else if (value > 0) {
+        --value;
+      }
+      p->user_word = WrapAdd(WrapMul(value, kAgePositionBase), position);
+    }
+    return;
+  }
+  const int64_t w_ref = LoadInt(slots[param]);
+  const int64_t w_dirty = LoadInt(slots[param + 1]);
+  const int64_t w_bias = LoadInt(slots[param + 2]);
+  int64_t votes = 0;
+  for (mach::VmPage* p = queue->head(); p != nullptr; p = p->q_next, --position) {
+    const int64_t rest = p->user_word / kAgePositionBase;
+    const int64_t predicted = rest % 2;
+    int64_t accum = rest / 2;
+    const int64_t referenced = p->reference ? 1 : 0;
+    p->reference = false;
+    if (referenced > predicted) {
+      ++votes;
+    } else if (predicted > referenced) {
+      --votes;
+    }
+    const int64_t score =
+        SatAdd64(SatAdd64(SatMul64(w_ref, referenced), SatMul64(w_dirty, p->modified ? 1 : 0)),
+                 w_bias);
+    if (accum > 0) {
+      --accum;
+    }
+    accum = WrapAdd(WrapMul(WrapAdd(accum, score), 2), referenced);
+    p->user_word = WrapAdd(WrapMul(accum, kAgePositionBase), position);
+  }
+  slots[param + 3].int_value = votes;
 }
 
 thread_local bool PolicyExecutor::condition_ = false;
@@ -428,6 +501,10 @@ uint8_t PolicyExecutor::RunEventSwitch(Container* c, int event, int depth, int64
         kernel_->ctx().Charge(costs.complex_command_ns);
         DoWeightedSelect(c, inst);
         break;
+      case Opcode::kAgeScores:
+        kernel_->ctx().Charge(costs.complex_command_ns);
+        DoAgeScores(c, inst);
+        break;
       case Opcode::kSatDotProduct:
         DoSatDotProduct(c, inst);
         break;
@@ -465,13 +542,13 @@ void PolicyExecutor::DoArith(Container* c, const Instruction& inst) {
   int64_t out;
   switch (arith) {
     case ArithOp::kAdd:
-      out = lhs + rhs;
+      out = WrapAdd(lhs, rhs);
       break;
     case ArithOp::kSub:
-      out = lhs - rhs;
+      out = WrapSub(lhs, rhs);
       break;
     case ArithOp::kMul:
-      out = lhs * rhs;
+      out = WrapMul(lhs, rhs);
       break;
     case ArithOp::kDiv:
       if (rhs == 0) {
@@ -656,21 +733,30 @@ void PolicyExecutor::DoWeightedSelect(Container* c, const Instruction& inst) {
     // Same text the decode-time classifier traps with, so the dual paths agree.
     throw PolicyError("WeightedSelect mode: flag out of range");
   }
-  if (queue->empty()) {
-    throw PolicyError("replacement-policy command on an empty queue");
-  }
-  mach::VmPage* best = nullptr;
-  queue->ForEach([&](mach::VmPage* p) {
-    if (best == nullptr ||
-        (mode == SelectMode::kMin ? p->user_word < best->user_word
-                                  : p->user_word > best->user_word)) {
-      best = p;  // strict comparison: ties keep the page nearest the head
-    }
-    return true;
-  });
-  queue->Remove(best);
-  c->operands().WritePage(inst.op2, best);
+  c->operands().WritePage(inst.op2, SelectByWord(queue, mode == SelectMode::kMax));
   counters_.Add(kCtrPolicyCommands);
+}
+
+void PolicyExecutor::DoAgeScores(Container* c, const Instruction& inst) {
+  OperandArray& ops = c->operands();
+  mach::PageQueue* queue = ops.ReadQueue(inst.op1);
+  auto mode = static_cast<AgeMode>(inst.op3);
+  if (mode != AgeMode::kAwrp && mode != AgeMode::kPerceptron) {
+    throw PolicyError("AgeScores mode: flag out of range");
+  }
+  const bool perceptron = mode == AgeMode::kPerceptron;
+  if (perceptron && static_cast<int>(inst.op2) + 4 > 256) {
+    throw PolicyError("AgeScores operands: parameter run past the operand array");
+  }
+  // Typed reads and a typed write so kind misuse fails like every other reference command;
+  // the kernel then works on the proven slots.
+  for (int i = 0; i < (perceptron ? 3 : 1); ++i) {
+    ops.ReadInt(static_cast<uint8_t>(inst.op2 + i));
+  }
+  if (perceptron) {
+    ops.WriteInt(static_cast<uint8_t>(inst.op2 + 3), 0);
+  }
+  AgeScoresQueue(queue, ops.slots(), inst.op2, mode);
 }
 
 void PolicyExecutor::DoSatDotProduct(Container* c, const Instruction& inst) {

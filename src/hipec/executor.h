@@ -81,6 +81,17 @@ int64_t SatMul64(int64_t a, int64_t b);
 // integer and the range stays inside the 256-entry array.
 int64_t SatDotSlots(const OperandEntry* slots, uint8_t base, int n);
 
+// The rank/score complex-command kernels, shared by the IR interpreter, the reference
+// interpreter and the JIT bridges like SatDotSlots. Callers charge the complex-command cost.
+//
+// WeightedSelect: removes and returns the page of `queue` whose user_word is smallest
+// (`want_max` false) or largest; ties keep the page nearest the head. Throws PolicyError on
+// an empty queue.
+mach::VmPage* SelectByWord(mach::PageQueue* queue, bool want_max);
+// AgeScores: one head-to-tail pass over `queue` applying `mode`'s rule (instruction.h) with
+// its parameters at slots[param...]. The decoder proved the parameter run's slot kinds.
+void AgeScoresQueue(mach::PageQueue* queue, OperandEntry* slots, uint8_t param, AgeMode mode);
+
 class PolicyExecutor {
  public:
   PolicyExecutor(mach::Kernel* kernel, GlobalFrameManager* manager);
@@ -138,6 +149,7 @@ class PolicyExecutor {
   // Reference-path command implementations (decode-per-event interpreter only).
   void DoArith(Container* c, const Instruction& inst);
   void DoWeightedSelect(Container* c, const Instruction& inst);
+  void DoAgeScores(Container* c, const Instruction& inst);
   void DoSatDotProduct(Container* c, const Instruction& inst);
   void DoPageWord(Container* c, const Instruction& inst);
   void DoComp(Container* c, const Instruction& inst);

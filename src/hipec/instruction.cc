@@ -11,6 +11,7 @@ constexpr std::array<const char*, kOpcodeCount> kNames = {
     "DeQueue", "EnQueue", "Request", "Release", "Flush", "Set",  "Ref",
     "Mod",     "Find",    "Activate", "FIFO",  "LRU",    "MRU",
     "Migrate", "Unlink",  "WeightedSelect", "SatDotProduct", "PageWord",
+    "AgeScores",
 };
 
 // kOpcodeCount is derived from the enum; a new opcode that is not given a name here would

@@ -70,14 +70,21 @@ enum class Opcode : uint8_t {
   // Per-page scratch-word access: flag op3 = 1 loads the scratch word of the page in page-var
   // op1 into writable int operand op2; flag op3 = 2 stores readable int operand op2 into the
   // page's scratch word. The scratch word lives on the frame (VmPage::user_word), survives
-  // queue moves, and is zeroed when the frame is recycled to a new owner.
+  // queue moves, and is 0 on every freshly installed page.
   kPageWord = 0x18,
+  // Age every page of queue op1 in place, one head-to-tail pass that moves no page: clear
+  // the reference bit and rewrite the scratch word as value * 1024 + position, where the
+  // position counts down from the queue length at the head to 1 at the tail. Flag op3 picks
+  // the value rule (AgeMode); int operand op2 heads its parameter run. Charged as a complex
+  // command: the per-page loop it replaces costs ~25-45 interpreted commands per page.
+  kAgeScores = 0x19,
 };
 
 // Derived from the enum (last opcode + 1) so adding a command cannot silently desynchronize
 // the name table or the decoder's dispatch mapping; static_asserts in instruction.cc and the
-// exhaustive classifier switch in decoded.cc both key off this. Keep kPageWord the last member.
-inline constexpr int kOpcodeCount = static_cast<int>(Opcode::kPageWord) + 1;
+// exhaustive classifier switch in decoded.cc both key off this. Keep kAgeScores the last
+// member.
+inline constexpr int kOpcodeCount = static_cast<int>(Opcode::kAgeScores) + 1;
 // Commands 0x00..0x13 are the paper's original set (Table 1).
 inline constexpr int kPaperOpcodeCount = 20;
 
@@ -132,6 +139,18 @@ enum class SelectMode : uint8_t {
 enum class PageWordOp : uint8_t {
   kLoad = 1,
   kStore = 2,
+};
+
+// Value rule flag for AgeScores; `param` is op2, `value` the word's upper part (word / 1024).
+enum class AgeMode : uint8_t {
+  // AWRP: a referenced page gains slots[param]; an idle one loses 1, floored at 0.
+  kAwrp = 1,
+  // Perceptron: value = accum * 2 + prediction. The prediction is last pass's reference
+  // bit; accum decays by 1 (floored at 0) and gains the saturating dot product of weights
+  // slots[param..param+2] with (referenced, dirty, 1). Each misprediction votes +1
+  // (referenced, predicted idle) or -1 (idle, predicted referenced); the vote sum is
+  // written to slots[param+3].
+  kPerceptron = 2,
 };
 
 // The widest dot product kSatDotProduct accepts (n = flag op3). Bounds the operand-range

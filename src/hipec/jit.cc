@@ -24,7 +24,7 @@ namespace hipec::core::jit {
 // The emitter has a template per DispatchKind; this fires when someone grows the IR without
 // teaching the JIT the new kind (add a case to jit_x86_64.cc or mark it unsupported in
 // KindSupported so affected events fall back to the interpreter).
-static_assert(kDispatchKindCount == 56,
+static_assert(kDispatchKindCount == 57,
               "new DispatchKind: add a native template to jit_x86_64.cc (or exclude the kind "
               "in KindSupported) and update this tripwire");
 
@@ -359,29 +359,18 @@ extern "C" uint64_t HipecJitBridgeWeightedSelect(JitFrame* f, uint64_t a, uint64
   return Guarded(f, [&]() -> uint64_t {
     // Charge order matches the interpreter: surcharge first, then the empty-queue check.
     Kctx(f).Charge(Kctx(f).costs->complex_command_ns);
-    mach::PageQueue* queue = f->slots[a].queue;
-    if (queue->empty()) {
-      throw PolicyError("replacement-policy command on an empty queue");
-    }
-    mach::VmPage* best = nullptr;
-    if (is_max != 0) {
-      queue->ForEach([&](mach::VmPage* p) {
-        if (best == nullptr || p->user_word > best->user_word) {
-          best = p;
-        }
-        return true;
-      });
-    } else {
-      queue->ForEach([&](mach::VmPage* p) {
-        if (best == nullptr || p->user_word < best->user_word) {
-          best = p;
-        }
-        return true;
-      });
-    }
-    queue->Remove(best);
-    f->slots[b].page = best;
+    f->slots[b].page = SelectByWord(f->slots[a].queue, is_max != 0);
     f->executor->counters().Add(kCtrPolicyCommands);
+    return 0;
+  });
+}
+
+extern "C" uint64_t HipecJitBridgeAgeScores(JitFrame* f, uint64_t a, uint64_t b,
+                                            uint64_t mode) {
+  return Guarded(f, [&]() -> uint64_t {
+    Kctx(f).Charge(Kctx(f).costs->complex_command_ns);
+    AgeScoresQueue(f->slots[a].queue, f->slots, static_cast<uint8_t>(b),
+                   static_cast<AgeMode>(mode));
     return 0;
   });
 }
@@ -506,7 +495,7 @@ const char* DispatchKindName(DispatchKind kind) {
       "RefBit",         "ModBit",         "Find",           "Fifo",
       "Lru",            "Mru",            "Migrate",        "Unlink",
       "WeightedSelectMin", "WeightedSelectMax", "SatDotProduct", "PageWordLoad",
-      "PageWordStore",
+      "PageWordStore",  "AgeScores",
       "FusedCompGtJump", "FusedCompLtJump", "FusedCompEqJump", "FusedCompNeJump",
       "FusedCompGeJump", "FusedCompLeJump", "FusedDeqHeadEnqHead", "FusedDeqHeadEnqTail",
       "FusedLoadImmArith", "TrapError",    "TrapOutside",

@@ -61,6 +61,9 @@ uint64_t HipecJitBridgeUnlink(JitFrame* f, uint64_t a, uint64_t, uint64_t);
 // kWeightedSelectMin/Max — queue slot a, destination page slot b, is_max selects the
 // direction; charges the complex-command surcharge like the other replacement commands.
 uint64_t HipecJitBridgeWeightedSelect(JitFrame* f, uint64_t a, uint64_t b, uint64_t is_max);
+// kAgeScores — queue slot a, parameter base slot b, AgeMode from the decoded record's target
+// field; charges the complex-command surcharge.
+uint64_t HipecJitBridgeAgeScores(JitFrame* f, uint64_t a, uint64_t b, uint64_t mode);
 // kSatDotProduct — destination int slot a, vector base slot b, width n (from the decoded
 // record's target field).
 uint64_t HipecJitBridgeSatDot(JitFrame* f, uint64_t a, uint64_t b, uint64_t n);

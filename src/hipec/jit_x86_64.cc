@@ -697,6 +697,13 @@ bool EmitEventX86(const DecodedEvent& stream, const OperandArray& operands,
         NonTestTail(cc16, d.raw_op);
         break;
 
+      case DispatchKind::kAgeScores:
+        EmitGuards();
+        EmitBridge(HipecJitBridgeAgeScores, d.a, d.b, d.target);
+        EmitStatusCheck();
+        NonTestTail(cc16, d.raw_op);
+        break;
+
       case DispatchKind::kPageWordLoad:
         EmitGuards();
         a.MovRM(RCX, RBX, SlotDisp(d.a, off.op_page));

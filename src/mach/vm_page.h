@@ -55,9 +55,10 @@ struct VmPage {
   sim::Nanos last_reference_ns = 0;
   // Time this page was appended to its current queue (FIFO arrival order).
   sim::Nanos enqueue_ns = 0;
-  // Policy-visible per-page scratch word: written/read by the PageWord command and ranked by
-  // WeightedSelect. Belongs to the owning container's policy; zeroed whenever the frame is
-  // granted to a new owner so scores never leak between containers.
+  // Policy-visible per-page scratch word: written/read by the PageWord command, rewritten by
+  // AgeScores and ranked by WeightedSelect. Belongs to the owning container's policy; zeroed
+  // whenever the frame is granted to a new owner so scores never leak between containers,
+  // and again before the frame is installed for a fault, so every new page starts at 0.
   int64_t user_word = 0;
 
   // Private-pool ownership: the HiPEC container this frame is allocated to, or nullptr when

@@ -210,60 +210,20 @@ core::PolicyProgram AwrpPolicy() {
   PolicyProgram program;
   EventBuilder b;
   auto evict = b.NewLabel();
-  auto loop = b.NewLabel();
-  auto select = b.NewLabel();
-  auto unreferenced = b.NewLabel();
-  auto store = b.NewLabel();
   EmitFreeListFastPath(b, evict);
 
-  // One full rotation of the active queue per eviction: kScratch0 counts it down so pages
-  // re-enqueued at the tail are not revisited.
+  // One AgeScores pass over the active queue per eviction: +64 for a referenced page, -1
+  // (floored at 0) for an idle one. The reward rides in a standard scratch slot, so the
+  // policy runs with default HipecOptions. The word packs score * 1024 + the page's position,
+  // which counts down from the queue length at the head to 1 at the tail, so among equal
+  // scores the *newest* page holds the smallest word and WeightedSelectMin evicts it first.
+  // That tie-break is what makes a cold-start loop converge: without it, equal-score ties
+  // resolve toward the queue head (oldest page — exactly the page a cyclic scan needs next)
+  // and the policy degenerates to FIFO's 0% hit ratio. With it, one-touch churn recycles the
+  // newest frame while the surviving set earns rewards and stabilizes.
   b.Bind(evict);
-  b.Arith(ops::kScratch0, ops::kActiveCount, ArithOp::kMov);
-  b.Bind(loop);
-  b.LoadImm(ops::kScratch1, 0);
-  b.Comp(ops::kScratch0, ops::kScratch1, CompOp::kGt);
-  b.JumpIfFalse(select);
-  b.DeQueueHead(ops::kPage, ops::kActiveQueue);
-  // Unpack: the word is score * 1024 + last rotation's queue position (see the store
-  // below); the position digit is bookkeeping, only the score ages and earns rewards.
-  b.PageWordLoad(ops::kPage, ops::kResult);
-  b.LoadImm(ops::kScratch1, 32);  // immediates are one byte: 1024 is built as 32 * 32
-  b.Arith(ops::kScratch1, ops::kScratch1, ArithOp::kMul);
-  b.Arith(ops::kResult, ops::kScratch1, ArithOp::kDiv);
-  b.Ref(ops::kPage);
-  b.JumpIfFalse(unreferenced);
-  // Referenced since the last rotation: reward, and reopen the observation window.
   b.LoadImm(ops::kScratch1, 64);
-  b.Arith(ops::kResult, ops::kScratch1, ArithOp::kAdd);
-  b.SetBit(ops::kPage, PageBit::kReference, false);
-  b.JumpIfFalse(store);  // unconditional: Arith/SetBit cleared the flag
-  b.Bind(unreferenced);
-  // Idle: age linearly, flooring at zero so long-cold pages stay minimal (not negative,
-  // which would let one ancient page shadow every future cold page).
-  b.LoadImm(ops::kScratch1, 0);
-  b.Comp(ops::kResult, ops::kScratch1, CompOp::kGt);
-  b.JumpIfFalse(store);
-  b.LoadImm(ops::kScratch1, 1);
-  b.Arith(ops::kResult, ops::kScratch1, ArithOp::kSub);
-  b.Bind(store);
-  // Pack word = score * 1024 + countdown. The countdown runs kActiveCount..1 head-to-tail,
-  // so among equal scores the *newest* page holds the smallest word and WeightedSelectMin
-  // evicts it first. That tie-break is what makes a cold-start loop converge: without it,
-  // equal-score ties resolve toward the queue head (oldest page — exactly the page a cyclic
-  // scan needs next) and the policy degenerates to FIFO's 0% hit ratio. With it, one-touch
-  // churn recycles the newest frame while the surviving set earns rewards and stabilizes.
-  b.LoadImm(ops::kScratch1, 32);
-  b.Arith(ops::kScratch1, ops::kScratch1, ArithOp::kMul);
-  b.Arith(ops::kResult, ops::kScratch1, ArithOp::kMul);
-  b.Arith(ops::kResult, ops::kScratch0, ArithOp::kAdd);
-  b.PageWordStore(ops::kPage, ops::kResult);
-  b.EnQueueTail(ops::kPage, ops::kActiveQueue);
-  b.LoadImm(ops::kScratch1, 1);
-  b.Arith(ops::kScratch0, ops::kScratch1, ArithOp::kSub);
-  b.JumpIfFalse(loop);
-
-  b.Bind(select);
+  b.AgeScores(ops::kActiveQueue, ops::kScratch1, core::AgeMode::kAwrp);
   b.WeightedSelectMin(ops::kActiveQueue, ops::kPage);
   EmitFlushAndReturn(b);
   program.SetEvent(core::kEventPageFault, b.Build());
@@ -271,18 +231,13 @@ core::PolicyProgram AwrpPolicy() {
   return program;
 }
 
-// Perceptron operand layout: SatDotProduct reads the 3 weights and then the 3 features from
-// six consecutive integer slots, so the features MUST sit directly after the weights.
+// Perceptron operand layout: AgeScores reads the 3 weights from consecutive integer slots and
+// writes the pass's vote sum into the slot right after them.
 namespace perceptron_ops {
-constexpr uint8_t kW0 = ops::kUserBase;      // weight: referenced-this-round (learned)
-constexpr uint8_t kW1 = ops::kUserBase + 1;  // weight: dirty
-constexpr uint8_t kW2 = ops::kUserBase + 2;  // weight: bias
-constexpr uint8_t kF0 = ops::kUserBase + 3;  // feature: referenced since the last rotation
-constexpr uint8_t kF1 = ops::kUserBase + 4;  // feature: dirty
-constexpr uint8_t kF2 = ops::kUserBase + 5;  // feature: constant 1
-constexpr uint8_t kPred = ops::kUserBase + 6;   // last rotation's prediction (word parity)
-constexpr uint8_t kAccum = ops::kUserBase + 7;  // decayed score accumulator (word >> 1)
-constexpr uint8_t kDelta = ops::kUserBase + 8;  // batched weight votes, applied post-rotation
+constexpr uint8_t kW0 = ops::kUserBase;         // weight: referenced-this-round (learned)
+constexpr uint8_t kW1 = ops::kUserBase + 1;     // weight: dirty
+constexpr uint8_t kW2 = ops::kUserBase + 2;     // weight: bias
+constexpr uint8_t kVotes = ops::kUserBase + 3;  // the last pass's summed training votes
 }  // namespace perceptron_ops
 
 core::PolicyProgram PerceptronPolicy() {
@@ -290,105 +245,20 @@ core::PolicyProgram PerceptronPolicy() {
   PolicyProgram program;
   EventBuilder b;
   auto evict = b.NewLabel();
-  auto loop = b.NewLabel();
-  auto select = b.NewLabel();
-  auto f0_zero = b.NewLabel();
-  auto f0_done = b.NewLabel();
-  auto f1_zero = b.NewLabel();
-  auto f1_done = b.NewLabel();
-  auto check_down = b.NewLabel();
-  auto train_done = b.NewLabel();
-  auto no_decay = b.NewLabel();
   auto w0_low_ok = b.NewLabel();
   auto w0_high_ok = b.NewLabel();
   EmitFreeListFastPath(b, evict);
 
-  // One rotation of the active queue per eviction, like AWRP. The per-page word packs the
-  // decayed score accumulator above the last prediction bit: word = accum * 2 + pred.
+  // One AgeScores pass per eviction, like AWRP, scoring each page with the frozen weights
+  // and voting on reuse mispredictions. The votes hit w0 only after the pass: updating w0
+  // mid-pass hands every later (newer) page a strictly higher score than the page before
+  // it, which freezes the accumulators in queue order — the head is the minimum forever and
+  // the policy degenerates to exact FIFO. Frozen weights keep same-pass pages tied, which is
+  // what the newest-on-tie position digit needs to break (see AwrpPolicy).
   b.Bind(evict);
-  b.LoadImm(pp::kDelta, 0);
-  b.Arith(ops::kScratch0, ops::kActiveCount, ArithOp::kMov);
-  b.Bind(loop);
-  b.LoadImm(ops::kScratch1, 0);
-  b.Comp(ops::kScratch0, ops::kScratch1, CompOp::kGt);
-  b.JumpIfFalse(select);
-  b.DeQueueHead(ops::kPage, ops::kActiveQueue);
-  // Unpack: the word is (accum * 2 + pred) * 1024 + rotation position (see the store
-  // below). Strip the position digit first, then pred = rest % 2, accum = rest / 2.
-  b.PageWordLoad(ops::kPage, ops::kResult);
-  b.LoadImm(ops::kScratch1, 32);  // immediates are one byte: 1024 is built as 32 * 32
-  b.Arith(ops::kScratch1, ops::kScratch1, ArithOp::kMul);
-  b.Arith(ops::kResult, ops::kScratch1, ArithOp::kDiv);
-  b.LoadImm(ops::kScratch1, 2);
-  b.Arith(pp::kPred, ops::kResult, ArithOp::kMov);
-  b.Arith(pp::kPred, ops::kScratch1, ArithOp::kMod);
-  b.Arith(pp::kAccum, ops::kResult, ArithOp::kMov);
-  b.Arith(pp::kAccum, ops::kScratch1, ArithOp::kDiv);
-  // f0 = referenced since the last rotation (clearing the bit reopens the window).
-  b.Ref(ops::kPage);
-  b.JumpIfFalse(f0_zero);
-  b.LoadImm(pp::kF0, 1);
-  b.SetBit(ops::kPage, PageBit::kReference, false);
-  b.JumpIfFalse(f0_done);
-  b.Bind(f0_zero);
-  b.LoadImm(pp::kF0, 0);
-  b.Bind(f0_done);
-  // f1 = dirty, f2 = bias.
-  b.Mod(ops::kPage);
-  b.JumpIfFalse(f1_zero);
-  b.LoadImm(pp::kF1, 1);
-  b.JumpIfFalse(f1_done);
-  b.Bind(f1_zero);
-  b.LoadImm(pp::kF1, 0);
-  b.Bind(f1_done);
-  b.LoadImm(pp::kF2, 1);
-  // Vote on the reuse misprediction, learning rate 1: re-referenced though predicted idle
-  // -> +1, predicted busy but idle -> -1. Votes accumulate in kDelta and hit w0 only after
-  // the rotation (see the select label): updating w0 mid-rotation hands every later (newer)
-  // page a strictly higher score than the page before it, which freezes the accumulators in
-  // queue order — the head is the minimum forever and the policy degenerates to exact FIFO.
-  // Frozen weights keep same-rotation pages tied, which is what the newest-on-tie position
-  // digit below needs to break.
-  b.Comp(pp::kF0, pp::kPred, CompOp::kGt);
-  b.JumpIfFalse(check_down);
-  b.LoadImm(ops::kScratch1, 1);
-  b.Arith(pp::kDelta, ops::kScratch1, ArithOp::kAdd);
-  b.JumpIfFalse(train_done);
-  b.Bind(check_down);
-  b.Comp(pp::kPred, pp::kF0, CompOp::kGt);
-  b.JumpIfFalse(train_done);
-  b.LoadImm(ops::kScratch1, 1);
-  b.Arith(pp::kDelta, ops::kScratch1, ArithOp::kSub);
-  b.Bind(train_done);
-  // score = w . f (saturating), folded into the linearly decaying accumulator.
-  b.SatDotProduct(ops::kResult, pp::kW0, 3);
-  b.LoadImm(ops::kScratch1, 0);
-  b.Comp(pp::kAccum, ops::kScratch1, CompOp::kGt);
-  b.JumpIfFalse(no_decay);
-  b.LoadImm(ops::kScratch1, 1);
-  b.Arith(pp::kAccum, ops::kScratch1, ArithOp::kSub);
-  b.Bind(no_decay);
-  b.Arith(pp::kAccum, ops::kResult, ArithOp::kAdd);
-  // Repack with this round's observation as the next prediction, then append the rotation
-  // countdown as the low digit: among equal scores WeightedSelectMin evicts the *newest*
-  // page, the same cold-start tie-break AWRP uses (see AwrpPolicy) — without it a cyclic
-  // sweep from empty keeps perfect FIFO score order and never converges.
-  b.LoadImm(ops::kScratch1, 2);
-  b.Arith(pp::kAccum, ops::kScratch1, ArithOp::kMul);
-  b.Arith(pp::kAccum, pp::kF0, ArithOp::kAdd);
-  b.LoadImm(ops::kScratch1, 32);
-  b.Arith(ops::kScratch1, ops::kScratch1, ArithOp::kMul);
-  b.Arith(pp::kAccum, ops::kScratch1, ArithOp::kMul);
-  b.Arith(pp::kAccum, ops::kScratch0, ArithOp::kAdd);
-  b.PageWordStore(ops::kPage, pp::kAccum);
-  b.EnQueueTail(ops::kPage, ops::kActiveQueue);
-  b.LoadImm(ops::kScratch1, 1);
-  b.Arith(ops::kScratch0, ops::kScratch1, ArithOp::kSub);
-  b.JumpIfFalse(loop);
-
-  b.Bind(select);
+  b.AgeScores(ops::kActiveQueue, pp::kW0, core::AgeMode::kPerceptron);
   // Apply the batched weight votes, clamping w0 to [1, 96].
-  b.Arith(pp::kW0, pp::kDelta, ArithOp::kAdd);
+  b.Arith(pp::kW0, pp::kVotes, ArithOp::kAdd);
   b.LoadImm(ops::kScratch1, 1);
   b.Comp(pp::kW0, ops::kScratch1, CompOp::kLt);
   b.JumpIfFalse(w0_low_ok);
@@ -409,7 +279,7 @@ core::PolicyProgram PerceptronPolicy() {
 core::HipecOptions PerceptronOptions() {
   namespace pp = perceptron_ops;
   core::HipecOptions options;
-  options.user_int_count = 9;  // w0..w2, f0..f2, pred, accum, delta
+  options.user_int_count = 4;  // w0..w2, votes
   options.user_int_inits = {
       {pp::kW0, 64, /*read_only=*/false},
       {pp::kW1, 8, /*read_only=*/false},

@@ -58,30 +58,29 @@ core::PolicyProgram TwoQueuePolicy();
 // Options preset required by TwoQueuePolicy (one user queue).
 core::HipecOptions TwoQueueOptions();
 
-// AWRP (aging-weighted): each eviction rotates the active queue once, rewarding pages found
-// referenced (+64 to the score, clearing the bit) and linearly aging idle ones (-1, floor
-// 0); the victim is the minimum-weight page (one WeightedSelect command). The per-page word
-// packs score * 1024 + the page's rotation position (newest = smallest), so score ties evict
-// the newest page — MRU-like churn that lets a cold-start cyclic sweep converge on a stable
-// resident set instead of degenerating to FIFO order, while the hot set of a hot/cold mix
-// out-scores cold traffic and is never displaced.
+// AWRP (aging-weighted): each eviction ages the active queue with one AgeScores pass,
+// rewarding pages found referenced (+64 to the score, clearing the bit) and linearly aging
+// idle ones (-1, floor 0); the victim is the minimum-weight page (one WeightedSelect
+// command). The per-page word packs score * 1024 + the page's position in the pass (newest =
+// smallest), so score ties evict the newest page — MRU-like churn that lets a cold-start
+// cyclic sweep converge on a stable resident set instead of degenerating to FIFO order,
+// while the hot set of a hot/cold mix out-scores cold traffic and is never displaced. Runs
+// with default HipecOptions: the reward goes through a standard scratch slot.
 core::PolicyProgram AwrpPolicy();
 
 // An online perceptron over per-page features (referenced-this-round, dirty, bias): the
 // score is a saturating dot product against a learned weight vector, accumulated into the
 // per-page word with linear decay, and the victim is the minimum-weight page. The
 // referenced-feature weight trains on reuse mispredictions (+1 when a page predicted idle
-// is re-referenced, -1 when a page predicted busy is not), but the votes are batched and
-// applied only after each rotation — the weights stay frozen while pages are scored, so
-// same-rotation pages with identical behavior stay exactly tied. The word packs
-// (accum * 2 + prediction) * 1024 + the rotation position, so those ties evict the newest
-// page (the same cold-start loop tie-break as AwrpPolicy). Requires PerceptronOptions()
-// (weights and the feature vector live in six consecutive user integer operands, as
-// SatDotProduct expects).
+// is re-referenced, -1 when a page predicted busy is not), but the votes are summed over the
+// AgeScores pass and applied only after it — the weights stay frozen while pages are scored,
+// so same-pass pages with identical behavior stay exactly tied. The word packs
+// (accum * 2 + prediction) * 1024 + the pass position, so those ties evict the newest page
+// (the same cold-start loop tie-break as AwrpPolicy). Requires PerceptronOptions().
 core::PolicyProgram PerceptronPolicy();
 
-// Options preset required by PerceptronPolicy: nine user ints — w0..w2 (initialized 64, 8,
-// 1), f0..f2, and three per-scan temporaries (prediction, accumulator, batched votes).
+// Options preset required by PerceptronPolicy: four user ints — w0..w2 (initialized 64, 8,
+// 1) followed by the slot AgeScores writes the pass's vote sum into.
 core::HipecOptions PerceptronOptions();
 
 // The shared ReclaimFrame event used by all of the above (exposed for reuse by custom

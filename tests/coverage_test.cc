@@ -29,24 +29,28 @@ TEST(ExtensionOpcodeTest, BinaryValuesFollowTableOne) {
   EXPECT_EQ(static_cast<uint8_t>(Opcode::kWeightedSelect), 0x16);
   EXPECT_EQ(static_cast<uint8_t>(Opcode::kSatDotProduct), 0x17);
   EXPECT_EQ(static_cast<uint8_t>(Opcode::kPageWord), 0x18);
-  EXPECT_EQ(core::kOpcodeCount, 25);
+  EXPECT_EQ(static_cast<uint8_t>(Opcode::kAgeScores), 0x19);
+  EXPECT_EQ(core::kOpcodeCount, 26);
   EXPECT_EQ(core::kPaperOpcodeCount, 20);
   EXPECT_TRUE(core::IsValidOpcode(0x15));
   EXPECT_TRUE(core::IsValidOpcode(0x16));
   EXPECT_TRUE(core::IsValidOpcode(0x17));
   EXPECT_TRUE(core::IsValidOpcode(0x18));
-  EXPECT_FALSE(core::IsValidOpcode(0x19));
+  EXPECT_TRUE(core::IsValidOpcode(0x19));
+  EXPECT_FALSE(core::IsValidOpcode(0x1A));
   EXPECT_EQ(*core::OpcodeName(Opcode::kMigrate), "Migrate");
   EXPECT_EQ(*core::OpcodeName(Opcode::kUnlink), "Unlink");
   EXPECT_EQ(*core::OpcodeName(Opcode::kWeightedSelect), "WeightedSelect");
   EXPECT_EQ(*core::OpcodeName(Opcode::kSatDotProduct), "SatDotProduct");
   EXPECT_EQ(*core::OpcodeName(Opcode::kPageWord), "PageWord");
+  EXPECT_EQ(*core::OpcodeName(Opcode::kAgeScores), "AgeScores");
   EXPECT_TRUE(core::SetsCondition(Opcode::kMigrate));   // success is testable
   EXPECT_FALSE(core::SetsCondition(Opcode::kUnlink));
   // The rank/score family is all non-test: results land in operands, not the flag.
   EXPECT_FALSE(core::SetsCondition(Opcode::kWeightedSelect));
   EXPECT_FALSE(core::SetsCondition(Opcode::kSatDotProduct));
   EXPECT_FALSE(core::SetsCondition(Opcode::kPageWord));
+  EXPECT_FALSE(core::SetsCondition(Opcode::kAgeScores));
 }
 
 core::OperandArray StdLayout() {
@@ -165,6 +169,60 @@ TEST(ExtensionValidatorTest, PageWordOperandRules) {
   EventBuilder bad3;
   bad3.Emit({Opcode::kPageWord, ops::kPage, ops::kScratch0, 0}).Return(0);
   EXPECT_FALSE(core::ValidatePolicy(WrapFault(bad3.Build()), layout).empty());
+}
+
+TEST(ExtensionValidatorTest, AgeScoresOperandRules) {
+  core::OperandArray layout = StdLayout();
+  layout.DefineInt(ops::kResult, 0);
+  layout.DefineInt(ops::kScratch1, 0);
+  layout.DefineInt(0x10, 64);
+  layout.DefineInt(0x11, 8);
+  layout.DefineInt(0x12, 1);
+  layout.DefineInt(0x13, 0);
+  auto rejection = [&](core::EventBuilder& b) {
+    b.Return(0);
+    return core::FormatErrors(core::ValidatePolicy(WrapFault(b.Build()), layout));
+  };
+  // Good: AWRP reads one readable int (a queue-count view counts); the perceptron reads three
+  // weights and writes the vote sum after them.
+  EventBuilder good;
+  good.AgeScores(ops::kActiveQueue, ops::kScratch1, core::AgeMode::kAwrp)
+      .AgeScores(ops::kFreeQueue, ops::kFreeCount, core::AgeMode::kAwrp)
+      .AgeScores(ops::kActiveQueue, 0x10, core::AgeMode::kPerceptron);
+  EXPECT_EQ(rejection(good), "");
+  // op1 must be a queue.
+  EventBuilder bad_queue;
+  bad_queue.AgeScores(ops::kPage, ops::kScratch1, core::AgeMode::kAwrp);
+  EXPECT_NE(rejection(bad_queue).find("AgeScores queue: operand is not a queue"),
+            std::string::npos);
+  // Mode 0 and 3 are outside {kAwrp, kPerceptron}.
+  for (uint8_t mode : {0, 3}) {
+    EventBuilder bad_mode;
+    bad_mode.Emit({Opcode::kAgeScores, ops::kActiveQueue, ops::kScratch1, mode});
+    EXPECT_NE(rejection(bad_mode).find("AgeScores mode: flag out of range"), std::string::npos)
+        << "mode " << static_cast<int>(mode);
+  }
+  // The perceptron's four-slot run must end by slot 255.
+  EventBuilder bad_run;
+  bad_run.AgeScores(ops::kActiveQueue, 0xFD, core::AgeMode::kPerceptron);
+  EXPECT_NE(rejection(bad_run).find("AgeScores operands: parameter run past the operand array"),
+            std::string::npos);
+  // Every weight must be a readable int: kFreeQueue sits in the reward slot and a queue
+  // sits one past kScratch0.
+  EventBuilder bad_reward;
+  bad_reward.AgeScores(ops::kActiveQueue, ops::kFreeQueue, core::AgeMode::kAwrp);
+  EXPECT_NE(rejection(bad_reward).find("AgeScores weight: operand is not an integer"),
+            std::string::npos);
+  EventBuilder bad_weight;
+  bad_weight.AgeScores(ops::kActiveQueue, ops::kScratch0, core::AgeMode::kPerceptron);
+  EXPECT_NE(rejection(bad_weight).find("AgeScores weight: operand is not an integer"),
+            std::string::npos);
+  // The votes slot must be writable: make it read-only.
+  layout.DefineInt(0x13, 0, /*read_only=*/true);
+  EventBuilder bad_votes;
+  bad_votes.AgeScores(ops::kActiveQueue, 0x10, core::AgeMode::kPerceptron);
+  EXPECT_NE(rejection(bad_votes).find("AgeScores votes: operand is not a writable integer"),
+            std::string::npos);
 }
 
 // ------------------------------------------------------- saturating arithmetic kernels

@@ -223,6 +223,18 @@ TEST(DualPathTable2Test, TwoQueue) {
   ExerciseTable2Policy([] { return policies::TwoQueuePolicy(); }, options);
 }
 
+TEST(DualPathTable2Test, Awrp) {
+  HipecOptions options;
+  options.min_frames = 8;
+  ExerciseTable2Policy([] { return policies::AwrpPolicy(); }, options);
+}
+
+TEST(DualPathTable2Test, Perceptron) {
+  HipecOptions options = policies::PerceptronOptions();
+  options.min_frames = 8;
+  ExerciseTable2Policy([] { return policies::PerceptronPolicy(); }, options);
+}
+
 // --------------------------------------------------------- superinstruction fusion parity
 
 // Fused vs unfused decodings of the same policy, both on the IR loop: the fusion pass must
@@ -587,6 +599,18 @@ TEST(DualPathJitTest, TwoQueue) {
   ExerciseTable2PolicyJit([] { return policies::TwoQueuePolicy(); }, options);
 }
 
+TEST(DualPathJitTest, Awrp) {
+  HipecOptions options;
+  options.min_frames = 8;
+  ExerciseTable2PolicyJit([] { return policies::AwrpPolicy(); }, options);
+}
+
+TEST(DualPathJitTest, Perceptron) {
+  HipecOptions options = policies::PerceptronOptions();
+  options.min_frames = 8;
+  ExerciseTable2PolicyJit([] { return policies::PerceptronPolicy(); }, options);
+}
+
 // Compiled code must fail exactly like the interpreter: same outcome, same message, same
 // trace prefix, same command count.
 void ExpectSameErrorJit(PolicyProgram (*make_program)(), const std::string& substring) {
@@ -760,6 +784,8 @@ std::vector<Instruction> OnePerOpcode() {
       Instruction{Opcode::kSatDotProduct, ops::kScratch0, ops::kResult, 1},
       Instruction{Opcode::kPageWord, ops::kPage, ops::kScratch0,
                   static_cast<uint8_t>(PageWordOp::kLoad)},
+      Instruction{Opcode::kAgeScores, ops::kActiveQueue, ops::kScratch1,
+                  static_cast<uint8_t>(AgeMode::kAwrp)},
       Instruction{Opcode::kReturn, 0, 0, 0},
   };
 }

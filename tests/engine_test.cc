@@ -63,6 +63,31 @@ TEST(EngineTest, RegistrationHappyPath) {
   ExpectConservation(kernel);
 }
 
+// A reused clean victim comes back with its frame's old score word; the engine must hand
+// the next page word 0, exactly as a Flush exchange's zeroed reserve frame would.
+TEST(EngineTest, InstalledPageStartsWithWordZero) {
+  mach::Kernel kernel(SmallParams());
+  HipecEngine engine(&kernel);
+  mach::Task* task = kernel.CreateTask("app");
+  HipecRegion region = engine.VmAllocateHipec(
+      task, 16 * kPageSize, policies::FifoPolicy(CommandStyle::kSimple), DefaultOptions(4));
+  ASSERT_TRUE(region.ok) << region.error;
+  for (uint64_t page = 0; page < 4; ++page) {
+    ASSERT_TRUE(kernel.Touch(task, region.addr + page * kPageSize, /*is_write=*/false));
+  }
+  mach::PageQueue& active = region.container->active_q();
+  ASSERT_EQ(active.count(), 4u);
+  for (mach::VmPage* p = active.head(); p != nullptr; p = p->q_next) {
+    p->user_word = 42;
+  }
+  // Pool full: this fault reuses the (clean) head as the victim's frame.
+  ASSERT_TRUE(kernel.Touch(task, region.addr + 4 * kPageSize, /*is_write=*/false));
+  EXPECT_EQ(engine.counters().Get("engine.reused_frames"), 1);
+  ASSERT_EQ(active.tail()->offset, 4 * kPageSize);
+  EXPECT_EQ(active.tail()->user_word, 0);
+  EXPECT_EQ(active.head()->user_word, 42);  // resident pages keep their words
+}
+
 TEST(EngineTest, RegistrationRejectsInvalidProgram) {
   mach::Kernel kernel(SmallParams());
   HipecEngine engine(&kernel);

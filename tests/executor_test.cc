@@ -90,14 +90,15 @@ TEST_P(ArithTest, ComputesInPlace) {
   EXPECT_EQ(container->operands().ReadInt(ops::kScratch0), c.expected);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllOps, ArithTest,
-                         ::testing::Values(ArithCase{ArithOp::kAdd, 7, 3, 10},
-                                           ArithCase{ArithOp::kSub, 7, 3, 4},
-                                           ArithCase{ArithOp::kMul, 7, 3, 21},
-                                           ArithCase{ArithOp::kDiv, 7, 3, 2},
-                                           ArithCase{ArithOp::kMod, 7, 3, 1},
-                                           ArithCase{ArithOp::kMov, 7, 3, 3},
-                                           ArithCase{ArithOp::kSub, 3, 7, -4}));
+// Each case is named after the raw bytes of its ArithCase, padding included. A static array
+// has its padding zeroed, so the names are the same on every run; temporaries built on the
+// stack would carry whatever bytes were left there.
+constexpr ArithCase kArithCases[] = {
+    {ArithOp::kAdd, 7, 3, 10}, {ArithOp::kSub, 7, 3, 4}, {ArithOp::kMul, 7, 3, 21},
+    {ArithOp::kDiv, 7, 3, 2},  {ArithOp::kMod, 7, 3, 1}, {ArithOp::kMov, 7, 3, 3},
+    {ArithOp::kSub, 3, 7, -4}};
+
+INSTANTIATE_TEST_SUITE_P(AllOps, ArithTest, ::testing::ValuesIn(kArithCases));
 
 TEST_F(ExecutorTest, LoadImmediate) {
   EventBuilder b;
@@ -142,14 +143,14 @@ TEST_P(CompTest, SetsConditionFlag) {
   EXPECT_EQ(c->operands().ReadInt(ops::kResult), param.expected ? 1 : 0);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllOps, CompTest,
-    ::testing::Values(CompCase{CompOp::kGt, 5, 3, true}, CompCase{CompOp::kGt, 3, 3, false},
-                      CompCase{CompOp::kLt, 2, 3, true}, CompCase{CompOp::kLt, 3, 3, false},
-                      CompCase{CompOp::kEq, 3, 3, true}, CompCase{CompOp::kEq, 2, 3, false},
-                      CompCase{CompOp::kNe, 2, 3, true}, CompCase{CompOp::kNe, 3, 3, false},
-                      CompCase{CompOp::kGe, 3, 3, true}, CompCase{CompOp::kGe, 2, 3, false},
-                      CompCase{CompOp::kLe, 3, 3, true}, CompCase{CompOp::kLe, 4, 3, false}));
+// Static storage for the same reason as kArithCases.
+constexpr CompCase kCompCases[] = {
+    {CompOp::kGt, 5, 3, true}, {CompOp::kGt, 3, 3, false}, {CompOp::kLt, 2, 3, true},
+    {CompOp::kLt, 3, 3, false}, {CompOp::kEq, 3, 3, true}, {CompOp::kEq, 2, 3, false},
+    {CompOp::kNe, 2, 3, true}, {CompOp::kNe, 3, 3, false}, {CompOp::kGe, 3, 3, true},
+    {CompOp::kGe, 2, 3, false}, {CompOp::kLe, 3, 3, true}, {CompOp::kLe, 4, 3, false}};
+
+INSTANTIATE_TEST_SUITE_P(AllOps, CompTest, ::testing::ValuesIn(kCompCases));
 
 TEST_F(ExecutorTest, NonTestCommandClearsConditionFlag) {
   // Comp makes the flag true; LoadImm (non-test) clears it; the Jump is then taken — this is

@@ -92,7 +92,7 @@ Instruction RandomInstruction(std::mt19937_64& rng, int n_commands) {
   const uint8_t queue_op = pick({ops::kFreeQueue, ops::kActiveQueue, ops::kInactiveQueue});
   const uint8_t target = static_cast<uint8_t>(1 + rng() % static_cast<uint64_t>(n_commands));
 
-  switch (rng() % 17) {
+  switch (rng() % 18) {
     case 0:
       return Instruction{Opcode::kArith, writable_int, static_cast<uint8_t>(rng() % 256),
                          static_cast<uint8_t>(ArithOp::kLoadImm)};
@@ -151,6 +151,16 @@ Instruction RandomInstruction(std::mt19937_64& rng, int n_commands) {
       return Instruction{Opcode::kPageWord, ops::kPage,
                          rng() % 2 == 0 ? writable_int : int_op,
                          static_cast<uint8_t>(1 + rng() % 2)};
+    case 16:
+      // Modes 0 and 3 are decode-illegal. kFaultAddr (0x0C) and kFreeTarget (0x07) head
+      // three readable ints followed by a writable one, the perceptron's run; kScratch0's
+      // neighbor is a queue, so that draw decode-traps in mode 2 — identically in both
+      // engines. A vote sum landing in kRequestSize can make a later Request fail at run
+      // time, also identically.
+      return Instruction{Opcode::kAgeScores, queue_op,
+                         pick({ops::kFaultAddr, ops::kFreeTarget, ops::kScratch0,
+                               ops::kActiveCount}),
+                         pick({0, 1, 1, 2, 2, 3})};
     default:
       return Instruction{Opcode::kFind, ops::kPage, ops::kFaultAddr, 0};
   }
@@ -204,9 +214,21 @@ void RunDifferential(uint64_t seed) {
     ASSERT_EQ(jw.trace[i], iw.trace[i]) << "first divergence at trace index " << i;
   }
   // Operand state must agree too — a store parity bug could hide from the trace.
-  for (uint8_t idx : {ops::kScratch0, ops::kScratch1, ops::kResult}) {
+  for (uint8_t idx : {ops::kScratch0, ops::kScratch1, ops::kResult, ops::kRequestSize,
+                      ops::kFaultAddr}) {
     ASSERT_EQ(ca->operands().ReadInt(idx), cb->operands().ReadInt(idx))
         << "operand 0x" << std::hex << static_cast<int>(idx);
+  }
+  // And so must page state: PageWord and AgeScores write words and reference bits.
+  for (uint8_t q : {ops::kFreeQueue, ops::kActiveQueue, ops::kInactiveQueue}) {
+    const mach::VmPage* pa = ca->operands().ReadQueue(q)->head();
+    const mach::VmPage* pb = cb->operands().ReadQueue(q)->head();
+    for (; pa != nullptr && pb != nullptr; pa = pa->q_next, pb = pb->q_next) {
+      ASSERT_EQ(pa->user_word, pb->user_word) << "queue 0x" << std::hex << static_cast<int>(q);
+      ASSERT_EQ(pa->reference, pb->reference) << "queue 0x" << std::hex << static_cast<int>(q);
+    }
+    ASSERT_EQ(pa, nullptr);
+    ASSERT_EQ(pb, nullptr);
   }
 }
 
