@@ -3,11 +3,8 @@
 // model — for the Table 2 policy set, and reports faults/sec plus an ns/fault breakdown as
 // one JSON object per line (grep for lines starting with '{').
 //
-// Four dispatch configurations are compared:
+// Two dispatch configurations are compared:
 //   production   decoded IR, superinstruction fusion, computed-goto dispatch (the default)
-//   pre_pr       decoded IR as it was before the fusion/threading work: unfused stream,
-//                dense-switch dispatch
-//   reference    the retained pre-IR decode-per-event switch interpreter
 //   jit          install-time template JIT (native code per event, jit.h); on hosts where
 //                the JIT is unavailable this layer silently measures the IR fallback, and
 //                the jit_* metrics are emitted with available=0 so CI skips them
@@ -44,33 +41,18 @@ using namespace hipec;  // NOLINT: bench driver
 using mach::kPageSize;
 namespace ops = core::std_ops;
 
-// One interpreter configuration under test.
+// One dispatch configuration under test.
 struct PathConfig {
   const char* name;
   core::DispatchMode mode;
-  bool threaded;
-  bool fuse;
-  // Re-enable the pre-interning string-keyed counter lookups on every layer (see
-  // sim::CounterSet::SetLegacyStringLookups) so "pre_pr" measures the path as it actually
-  // was, not just the interpreter half of it.
-  bool legacy_counters;
 };
 
 constexpr PathConfig kConfigs[] = {
-    {"production", core::DispatchMode::kDecodedIr, /*threaded=*/true, /*fuse=*/true,
-     /*legacy_counters=*/false},
-    {"pre_pr", core::DispatchMode::kDecodedIr, /*threaded=*/false, /*fuse=*/false,
-     /*legacy_counters=*/true},
-    {"reference", core::DispatchMode::kReferenceSwitch, /*threaded=*/false, /*fuse=*/true,
-     /*legacy_counters=*/false},
-    {"jit", core::DispatchMode::kJit, /*threaded=*/true, /*fuse=*/true,
-     /*legacy_counters=*/false},
+    {"production", core::DispatchMode::kDecodedIr},
+    {"jit", core::DispatchMode::kJit},
 };
-constexpr size_t kNumConfigs = sizeof(kConfigs) / sizeof(kConfigs[0]);
 constexpr size_t kProductionIdx = 0;
-constexpr size_t kPrePrIdx = 1;
-constexpr size_t kReferenceIdx = 2;
-constexpr size_t kJitIdx = 3;
+constexpr size_t kJitIdx = 1;
 
 struct PolicyCase {
   const char* name;
@@ -116,23 +98,6 @@ mach::KernelParams BenchParams() {
   return params;
 }
 
-void ApplyConfig(core::HipecEngine& engine, core::Container* container,
-                 const PathConfig& config) {
-  engine.executor().set_dispatch_mode(config.mode);
-  engine.executor().set_threaded_dispatch(config.threaded);
-  sim::CounterSet::SetLegacyStringLookups(config.legacy_counters);
-  if (!config.fuse) {
-    container->AdoptDecodedProgram(core::DecodePolicy(container->program(),
-                                                      container->operands(), nullptr,
-                                                      /*fuse_superinstructions=*/false));
-  }
-}
-
-// Restores the process-wide counter mode when a measurement scope ends.
-struct LegacyCounterScopeReset {
-  ~LegacyCounterScopeReset() { sim::CounterSet::SetLegacyStringLookups(false); }
-};
-
 double Seconds(std::chrono::steady_clock::time_point start) {
   std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
   return elapsed.count();
@@ -149,7 +114,6 @@ struct StormResult {
 // continuously, so nearly every touch is a whole fault (TLB-hit touches cost ~ns and are
 // excluded by dividing elapsed time by the fault count).
 StormResult RunFaultStorm(const PolicyCase& policy, const PathConfig& config) {
-  LegacyCounterScopeReset reset_legacy_mode;
   constexpr uint64_t kRegionPages = 64;
   constexpr int kWarmupSweeps = 50;
   constexpr int kMeasureSweeps = 1000;
@@ -165,7 +129,7 @@ StormResult RunFaultStorm(const PolicyCase& policy, const PathConfig& config) {
                  region.error.c_str());
     std::exit(1);
   }
-  ApplyConfig(engine, region.container, config);
+  engine.executor().set_dispatch_mode(config.mode);
 
   auto sweep = [&](int rounds) {
     for (int round = 0; round < rounds; ++round) {
@@ -213,7 +177,6 @@ StormResult RunFaultStorm(const PolicyCase& policy, const PathConfig& config) {
 // Isolated policy execution on the free-list fast path: the ns the executor itself
 // contributes to a fault, without kernel entry, page installation or I/O.
 double MeasurePolicyNs(const PolicyCase& policy, const PathConfig& config) {
-  LegacyCounterScopeReset reset_legacy_mode;
   mach::Kernel kernel(BenchParams());
   core::HipecEngine engine(&kernel);
   mach::Task* task = kernel.CreateTask("bench");
@@ -223,7 +186,7 @@ double MeasurePolicyNs(const PolicyCase& policy, const PathConfig& config) {
   if (!region.ok) {
     return 0;
   }
-  ApplyConfig(engine, region.container, config);
+  engine.executor().set_dispatch_mode(config.mode);
   core::Container* container = region.container;
   core::PolicyExecutor& executor = engine.executor();
 
@@ -363,8 +326,7 @@ double MeasureCalibrationScore() {
 
 int main() {
   bench::Title("bench_faultpath: whole-fault microbenchmark (host time)");
-  bench::Note("configs: production (fused IR, computed-goto), pre_pr (unfused IR, switch),");
-  bench::Note("         reference (pre-IR decode-per-event interpreter), jit (template JIT)");
+  bench::Note("configs: production (fused IR, computed-goto), jit (template JIT)");
   bench::Rule();
 
   const double io_ns = MeasureIoNs();
@@ -374,19 +336,15 @@ int main() {
   json.Str("bench", "faultpath").Str("metric", "calibration_commands_per_sec")
       .Num("value", MeasureCalibrationScore(), 0).Emit();
 
-  double log_speedup_sum = 0;
   double log_jit_speedup_sum = 0;
   int policy_count = 0;
   for (const PolicyCase& policy : Table2Policies()) {
-    double per_config[kNumConfigs] = {};
-    for (size_t ci = 0; ci < kNumConfigs; ++ci) {
-      const PathConfig& config = kConfigs[ci];
+    for (const PathConfig& config : kConfigs) {
       // Calibrate adjacent in time to the storm it normalizes: shared machines drift by tens
       // of percent over the run, and a single up-front score would bake that drift into the
       // normalized numbers CI compares.
       const double calibration = MeasureCalibrationScore();
       StormResult storm = RunFaultStorm(policy, config);
-      per_config[ci] = storm.faults_per_sec;
       std::printf("%-20s %-12s %9.0f faults/sec  %8.0f ns/fault  (%lld faults)\n",
                   policy.name, config.name, storm.faults_per_sec, storm.ns_per_fault,
                   static_cast<long long>(storm.faults));
@@ -399,7 +357,7 @@ int main() {
           .Num("normalized_score", storm.faults_per_sec / calibration, 6)
           .Emit();
 
-      if (ci == kProductionIdx) {
+      if (&config == &kConfigs[kProductionIdx]) {
         // ns/fault breakdown for the production path.
         double policy_ns = MeasurePolicyNs(policy, config);
         double io_share_ns = io_ns * storm.disk_fills_per_fault;
@@ -415,25 +373,11 @@ int main() {
             .Emit();
       }
     }
-    double speedup = per_config[kProductionIdx] / per_config[kPrePrIdx];
-    log_speedup_sum += std::log(speedup);
     ++policy_count;
-    std::printf("%-20s speedup vs pre_pr: %.2fx, vs reference: %.2fx\n", policy.name,
-                speedup, per_config[kProductionIdx] / per_config[kReferenceIdx]);
-    json.Str("bench", "faultpath")
-        .Str("policy", policy.name)
-        .Str("metric", "speedup_vs_pre_pr")
-        .Num("value", speedup)
-        .Emit();
-    json.Str("bench", "faultpath")
-        .Str("policy", policy.name)
-        .Str("metric", "speedup_vs_reference")
-        .Num("value", per_config[kProductionIdx] / per_config[kReferenceIdx])
-        .Emit();
 
     // Policy-layer JIT speedup: isolated ExecuteEvent (free-list fast path), compiled code
     // vs the production computed-goto IR loop. This is the number the JIT work is gated on —
-    // the whole-fault ratio above dilutes it with kernel entry, page installation and I/O,
+    // a whole-fault ratio would dilute it with kernel entry, page installation and I/O,
     // which the JIT does not touch. On non-x86-64 hosts the jit config runs the IR fallback,
     // so the ratio is ~1.0 and meaningless; available=0 tells the regression gate to skip it.
     const double ir_policy_ns = MeasurePolicyNs(policy, kConfigs[kProductionIdx]);
@@ -455,13 +399,9 @@ int main() {
         .Emit();
   }
 
-  double geomean = std::exp(log_speedup_sum / policy_count);
   double jit_geomean = std::exp(log_jit_speedup_sum / policy_count);
   bench::Rule();
-  std::printf("geomean speedup (production vs pre_pr): %.2fx\n", geomean);
   std::printf("geomean jit policy-layer speedup (jit vs production): %.2fx\n", jit_geomean);
-  json.Str("bench", "faultpath").Str("metric", "geomean_speedup_vs_pre_pr")
-      .Num("value", geomean).Emit();
   json.Str("bench", "faultpath").Str("metric", "jit_speedup")
       .Num("value", jit_geomean)
       .Int("available", core::jit::Available() ? 1 : 0)

@@ -6,8 +6,8 @@
 // The executor benchmarks run under both dispatch modes so the decode-once IR interpreter can
 // be compared against the retained pre-refactor switch interpreter on the same workload.
 // After the google-benchmark tables, main() emits one JSON object per line summarizing
-// interpretation throughput (commands/sec, ns/command) per mode plus the speedup — grep for
-// lines starting with '{' to consume them from scripts.
+// interpretation throughput (commands/sec, ns/command) per mode — grep for lines starting
+// with '{' to consume them from scripts.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -211,21 +211,15 @@ const char* ModeName(core::DispatchMode mode) {
 
 void EmitJsonSummary() {
   bench::JsonLine json;
-  double per_mode[2] = {0, 0};
   for (core::DispatchMode mode :
        {core::DispatchMode::kDecodedIr, core::DispatchMode::kReferenceSwitch}) {
     double cps = MeasureCommandsPerSec(mode);
-    per_mode[static_cast<int>(mode)] = cps;
     json.Str("bench", "executor_arith_loop")
         .Str("mode", ModeName(mode))
         .Num("commands_per_sec", cps, 0)
         .Num("ns_per_command", 1e9 / cps)
         .Emit();
   }
-  json.Str("bench", "executor_arith_loop")
-      .Str("metric", "ir_speedup")
-      .Num("value", per_mode[0] / per_mode[1])
-      .Emit();
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// Parallel fault-throughput benchmark: runs the real-threads scenario driver
-// (scenario/threaded.h) at 1/2/4/8 tenant threads and reports aggregate faults/sec, as a
-// human table and as JSON lines for the CI perf-smoke gate.
+// Parallel fault-throughput benchmark: runs the M:N scheduler (scenario/scheduler.h) with one
+// worker per tenant at 1/2/4/8 tenant threads and reports aggregate faults/sec, as a human
+// table and as JSON lines for the CI perf-smoke gate; then a tenant-churn phase over a fixed
+// worker pool.
 //
 // Weak scaling: each thread gets an identical tenant (same trace length, same working set)
 // and the machine grows with the thread count, so perfect scaling is a flat per-thread
@@ -17,39 +18,40 @@
 
 #include "bench_util.h"
 #include "scenario/scheduler.h"
-#include "scenario/threaded.h"
 #include "sim/clock.h"
 
 namespace {
 
 using hipec::bench::JsonLine;
-using hipec::scenario::PatternKind;
 using hipec::scenario::PolicyKind;
 using hipec::scenario::SchedulerResult;
 using hipec::scenario::SchedulerSpec;
 using hipec::scenario::TenantSpec;
-using hipec::scenario::ThreadedScenarioResult;
-using hipec::scenario::ThreadedScenarioSpec;
+using hipec::workloads::PatternKind;
+using hipec::workloads::SyntheticSpec;
+using hipec::workloads::Workload;
 
-ThreadedScenarioSpec MakeSpec(size_t threads, size_t accesses) {
-  ThreadedScenarioSpec spec;
+SchedulerSpec MakeSpec(size_t threads, size_t accesses) {
+  SchedulerSpec spec;
   spec.name = "parallel-" + std::to_string(threads) + "t";
   // Weak scaling: per-thread slice of the machine is constant across runs.
   spec.total_frames = 512 + 160 * threads;
   spec.kernel_reserved_frames = 128;
+  spec.workers = threads;
+  spec.max_live_tenants = threads;
   spec.audit = true;
   spec.audit_interval_ms = 10;
   for (size_t i = 0; i < threads; ++i) {
     TenantSpec t;
     t.name = "worker-" + std::to_string(i);
     t.policy = PolicyKind::kFifoSecondChance;
-    t.pattern = PatternKind::kHotCold;
-    t.pages = 256;
+    t.workload = Workload::Pattern({.kind = PatternKind::kHotCold,
+                                    .pages = 256,
+                                    .accesses = accesses,
+                                    .write_fraction = 0.1,
+                                    .hot_pages = 48,
+                                    .hot_fraction = 0.9});
     t.min_frames = 48;
-    t.accesses = accesses;
-    t.write_fraction = 0.1;
-    t.hot_pages = 48;
-    t.hot_fraction = 0.9;
     spec.tenants.push_back(t);
   }
   return spec;
@@ -72,35 +74,33 @@ SchedulerSpec MakeChurnSpec(size_t tenants, size_t workers) {
   for (size_t i = 0; i < tenants; ++i) {
     TenantSpec t;
     t.name = "tenant-" + std::to_string(i);
+    SyntheticSpec stream;
     if (i % 500 == 250) {
       // A policy that never returns: only the checker's TimeOut fuse ends it.
       t.policy = PolicyKind::kLooping;
-      t.pattern = PatternKind::kSequential;
-      t.pages = 32;
+      stream = {.kind = PatternKind::kSequential, .pages = 32, .accesses = 64};
       t.min_frames = 8;
-      t.accesses = 64;
       t.timeout_ns = 50 * hipec::sim::kMillisecond;
     } else if (i % 100 == 50) {
       // A hog: big footprint, refuses cooperative reclamation.
       t.policy = PolicyKind::kStubborn;
-      t.pattern = PatternKind::kUniform;
-      t.pages = 384;
+      stream = {.kind = PatternKind::kUniform, .pages = 384, .accesses = 512,
+                .write_fraction = 0.1};
       t.min_frames = 48;
-      t.accesses = 512;
       t.request_size = 32;
-      t.write_fraction = 0.1;
     } else {
       t.policy = (i % 3 == 0) ? PolicyKind::kFifoSecondChance
                               : (i % 3 == 1) ? PolicyKind::kLru : PolicyKind::kGreedy;
-      t.pattern = (i % 2 == 0) ? PatternKind::kHotCold : PatternKind::kZipf;
-      t.pages = 48 + (i % 4) * 16;
+      stream = {.kind = (i % 2 == 0) ? PatternKind::kHotCold : PatternKind::kZipf,
+                .pages = 48 + (i % 4) * 16,
+                .accesses = 128,
+                .write_fraction = (i % 5 == 0) ? 0.2 : 0.0};
       t.min_frames = 8;
-      t.accesses = 128;
-      t.write_fraction = (i % 5 == 0) ? 0.2 : 0.0;
       if (i % 7 == 3) {
         t.departure_step = 1;  // departs after one scheduling slice
       }
     }
+    t.workload = Workload::Pattern(stream);
     spec.tenants.push_back(t);
   }
   return spec;
@@ -140,23 +140,23 @@ int main(int argc, char** argv) {
   std::map<size_t, double> faults_per_sec;
   JsonLine json;
   for (size_t threads : {1, 2, 4, 8}) {
-    ThreadedScenarioResult r =
-        hipec::scenario::RunThreadedScenario(MakeSpec(threads, accesses));
+    SchedulerResult r = hipec::scenario::RunScheduledScenario(MakeSpec(threads, accesses));
     faults_per_sec[threads] = r.faults_per_sec;
-    std::printf("  %8zu %10lld %10llu %10.3f %12.0f %10.0f %8lld\n", r.threads,
+    const double accesses_per_sec =
+        r.wall_seconds > 0.0 ? static_cast<double>(r.total_accesses) / r.wall_seconds : 0.0;
+    std::printf("  %8zu %10lld %10llu %10.3f %12.0f %10.0f %8lld\n", r.workers,
                 static_cast<long long>(r.total_faults),
                 static_cast<unsigned long long>(r.total_accesses), r.wall_seconds,
-                r.faults_per_sec, r.accesses_per_sec, static_cast<long long>(r.audits_run));
+                r.faults_per_sec, accesses_per_sec, static_cast<long long>(r.audits_run));
     json.Str("bench", "parallel")
-        .Int("threads", static_cast<long long>(r.threads))
+        .Int("threads", static_cast<long long>(r.workers))
         .Int("hardware_threads", hardware_threads)
         .Int("faults", r.total_faults)
         .Int("accesses", static_cast<long long>(r.total_accesses))
         .Num("wall_sec", r.wall_seconds, 4)
         .Num("faults_per_sec", r.faults_per_sec, 0)
-        .Num("accesses_per_sec", r.accesses_per_sec, 0)
+        .Num("accesses_per_sec", accesses_per_sec, 0)
         .Int("audits", r.audits_run)
-        .Int("checker_wakeups", r.checker_wakeups)
         .Int("checker_kills", r.checker_kills)
         .Emit();
   }

@@ -19,12 +19,9 @@ rows and summarized in a stderr warning so a silently-narrowed gate is visible):
   * faultpath normalized production throughput per policy: faults_per_sec divided by the
     run's own calibration score, so the comparison tolerates machines of different speeds.
     Fails when current < factor * baseline.
-  * faultpath speedup_vs_pre_pr per policy and the geomean: same-run relative numbers,
-    immune to machine speed. Fails when current < factor * baseline.
   * faultpath jit_speedup per policy and the geomean (policy-layer JIT vs the computed-goto
     IR loop): same-run relative. Skipped when the run reports available=0 (no JIT emitter
     on the host), compared against the baseline floors otherwise.
-  * interpreter ir_speedup: same-run relative. Fails when current < factor * baseline.
   * scenario metrics (bench_scenario): recorded as scenario.<name>.<metric>; compared only
     if a baseline entry exists.
   * trace-replay metrics (bench_tournament --traces): recorded as
@@ -79,10 +76,6 @@ def extract_metrics(records):
             # production, so conservative floors hold either way.
             if "normalized_score" in rec:
                 metrics[f"faultpath.jit.normalized.{rec['policy']}"] = rec["normalized_score"]
-        elif bench == "faultpath" and rec.get("metric") == "speedup_vs_pre_pr":
-            metrics[f"faultpath.speedup_vs_pre_pr.{rec['policy']}"] = rec["value"]
-        elif bench == "faultpath" and rec.get("metric") == "geomean_speedup_vs_pre_pr":
-            metrics["faultpath.geomean_speedup_vs_pre_pr"] = rec["value"]
         elif bench == "faultpath" and rec.get("metric") == "jit_policy_speedup":
             # available=0 means the host has no JIT emitter and the "jit" config measured
             # the interpreter fallback: the ratio is ~1.0 and meaningless, so it is dropped
@@ -92,8 +85,6 @@ def extract_metrics(records):
         elif bench == "faultpath" and rec.get("metric") == "jit_speedup":
             if rec.get("available", 1):
                 metrics["faultpath.jit_speedup"] = rec["value"]
-        elif bench == "executor_arith_loop" and rec.get("metric") == "ir_speedup":
-            metrics["interpreter.ir_speedup"] = rec["value"]
         elif bench == "scenario" and "metric" in rec:
             metrics[f"scenario.{rec['scenario']}.{rec['metric']}"] = rec["value"]
         elif bench == "replay" and "trace" in rec:

@@ -32,7 +32,6 @@ void DiskModel::EnableConcurrent() {
   mu_.Enable(true);
   counters_.EnableConcurrent();
   probes_.EnableConcurrent();
-  read_latency_.EnableConcurrent();
 }
 
 sim::Nanos DiskModel::SeekNs(int64_t from_cyl, int64_t to_cyl) const {
@@ -80,7 +79,6 @@ sim::Nanos DiskModel::ReadPage(uint64_t block) {
   clock_->Advance(service);
   counters_.Add(kCtrReads);
   sim::Nanos total = clock_->deterministic() ? clock_->now() - start : service;
-  read_latency_.Record(total);
   if (obs::ProbesEnabled()) {
     probes_.Record(kPrbReadNs, total);
   }

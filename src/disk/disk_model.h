@@ -132,7 +132,6 @@ class DiskModel {
   const DiskParams& params() const { return params_; }
   sim::CounterSet& counters() { return counters_; }
   obs::ProbeSet& probes() { return probes_; }
-  const sim::LatencyRecorder& read_latency() const { return read_latency_; }
 
  private:
   struct PendingWrite {
@@ -161,7 +160,6 @@ class DiskModel {
   std::deque<PendingWrite> write_queue_;
   sim::CounterSet counters_;
   obs::ProbeSet probes_;
-  sim::LatencyRecorder read_latency_;
 };
 
 }  // namespace hipec::disk

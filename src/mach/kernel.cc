@@ -15,7 +15,7 @@ bool DefaultJitMode() {
 namespace {
 
 // Interned once at startup; the fault path then bumps counters with an array index instead
-// of a string-keyed map lookup per event (see sim::CounterRegistry).
+// of a string-keyed map lookup per event (see sim::CounterNames).
 const sim::CounterId kCtrTaskTerminations = sim::InternCounter("kernel.task_terminations");
 const sim::CounterId kCtrVmAllocate = sim::InternCounter("kernel.vm_allocate");
 const sim::CounterId kCtrVmMap = sim::InternCounter("kernel.vm_map");

@@ -4,46 +4,17 @@
 
 namespace hipec::obs {
 
-ProbeRegistry& ProbeRegistry::Instance() {
-  static ProbeRegistry* registry = new ProbeRegistry();
-  return *registry;
-}
-
-ProbeId ProbeRegistry::Intern(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(name);
-  if (it != index_.end()) {
-    return it->second;
-  }
-  ProbeId id = static_cast<ProbeId>(names_.size());
-  names_.push_back(name);
-  index_.emplace(name, id);
-  return id;
-}
-
-ProbeId ProbeRegistry::Find(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(name);
-  return it == index_.end() ? kInvalid : it->second;
-}
-
-const std::string& ProbeRegistry::NameOf(ProbeId id) const {
-  // Valid after unlock: names_ is a deque and entries are never erased.
-  std::lock_guard<std::mutex> lock(mu_);
-  return names_[id];
-}
-
-size_t ProbeRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return names_.size();
+sim::NameTable& ProbeNames() {
+  static sim::NameTable* table = new sim::NameTable();
+  return *table;
 }
 
 std::map<std::string, const Histogram*> ProbeSet::all() const {
   std::map<std::string, const Histogram*> out;
-  const ProbeRegistry& registry = ProbeRegistry::Instance();
+  const sim::NameTable& names = ProbeNames();
   for (ProbeId id = 0; id < hists_.size(); ++id) {
     if (hists_[id].count() > 0) {
-      out.emplace(registry.NameOf(id), &hists_[id]);
+      out.emplace(names.NameOf(id), &hists_[id]);
     }
   }
   return out;
@@ -66,7 +37,7 @@ void ProbeSet::AppendJson(std::string* out) const {
 }
 
 void ProbeSet::Grow(ProbeId id) {
-  size_t want = ProbeRegistry::Instance().size();
+  size_t want = ProbeNames().size();
   hists_.resize(want > id ? want : id + 1);
 }
 

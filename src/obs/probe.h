@@ -24,14 +24,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/histogram.h"
+#include "sim/name_table.h"
 
 // Compile-time gate: -DHIPEC_OBS_PROBES=0 removes every probe from the binary.
 #if !defined(HIPEC_OBS_PROBES)
@@ -42,38 +41,19 @@ namespace hipec::obs {
 
 using ProbeId = uint32_t;
 
-// The process-wide probe name <-> id table. Thread-safe, like CounterRegistry: ids are
-// dense and stable for the process lifetime; names live in a deque so NameOf() references
-// survive later interning.
-class ProbeRegistry {
- public:
-  static ProbeRegistry& Instance();
-
-  // Returns the id for `name`, interning it on first sight. Idempotent.
-  ProbeId Intern(const std::string& name);
-
-  static constexpr ProbeId kInvalid = ~ProbeId{0};
-  ProbeId Find(const std::string& name) const;
-
-  const std::string& NameOf(ProbeId id) const;
-  size_t size() const;
-
- private:
-  ProbeRegistry() = default;
-  mutable std::mutex mu_;
-  std::deque<std::string> names_;
-  std::unordered_map<std::string, ProbeId> index_;
-};
+// The process-wide probe name table, separate from the counter names so every ProbeSet is
+// sized by probe names alone. Leaked, so it stays valid in static destructors.
+sim::NameTable& ProbeNames();
 
 inline ProbeId InternProbe(const char* name) {
-  return ProbeRegistry::Instance().Intern(name);
+  return ProbeNames().Intern(name);
 }
 
 constexpr bool ProbesCompiledIn() { return HIPEC_OBS_PROBES != 0; }
 
 // A subsystem's bag of probe histograms, indexed by ProbeId. The runtime switch is
-// process-wide (one flag flips every probe in every subsystem), matching how the tracer and
-// the legacy-counter A/B switch work.
+// process-wide (one flag flips every probe in every subsystem), matching how the tracer
+// works.
 // Thread-safety matches Tracer: single-threaded (and lock-free) by default; a set shared by
 // real fault threads calls EnableConcurrent() at construction time, after which Record()
 // serializes on a leaf mutex. The runtime on/off switch is a relaxed atomic either way, so a

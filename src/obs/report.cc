@@ -129,9 +129,6 @@ Report BuildReport(const std::vector<JsonValue>& records) {
       report.metrics["replay.records." + suffix] = rec.NumberOr("records", 0.0);
       report.metrics["replay.virtual_fault_ns." + suffix] =
           rec.NumberOr("virtual_fault_ns", 0.0);
-    } else if (bench == "executor_arith_loop" &&
-               rec.StringOr("metric", "") == "ir_speedup") {
-      report.metrics["interpreter.ir_speedup"] = rec.NumberOr("value", 0.0);
     } else if (bench == "server" && has_metric) {
       // bench_server's gated per-core rate. Mirror the extractor's hardware_threads filter
       // so a report from a small host never smuggles the metric past the gate.
@@ -305,8 +302,8 @@ bool SelfCheck(std::string* diagnostics) {
   };
 
   // A miniature bench capture: a human table line, a scenario summary with dropped events,
-  // a scenario metric, faultpath production + speedup + bare-metric lines, an interpreter
-  // line, tournament and trace-replay cells, and one corrupt JSON line.
+  // a scenario metric, faultpath production + per-policy metric + bare-metric lines,
+  // tournament and trace-replay cells, server records, and one corrupt JSON line.
   static const char kSample[] =
       "scenario: sample — human table line, must be skipped\n"
       "{\"bench\":\"scenario\",\"scenario\":\"sample\",\"tenants\":3,\"background\":1,"
@@ -319,10 +316,9 @@ bool SelfCheck(std::string* diagnostics) {
       "{\"bench\":\"faultpath\",\"policy\":\"fifo\",\"config\":\"production\","
       "\"faults\":64000,\"faults_per_sec\":100000,\"ns_per_fault\":10000.0,"
       "\"normalized_score\":0.004321}\n"
-      "{\"bench\":\"faultpath\",\"policy\":\"fifo\",\"metric\":\"speedup_vs_pre_pr\","
-      "\"value\":2.210}\n"
+      "{\"bench\":\"faultpath\",\"policy\":\"fifo\",\"metric\":\"jit_policy_speedup\","
+      "\"value\":1.410}\n"
       "{\"bench\":\"faultpath\",\"metric\":\"probe_overhead_pct\",\"value\":3.100}\n"
-      "{\"bench\":\"executor_arith_loop\",\"metric\":\"ir_speedup\",\"value\":2.900}\n"
       "{\"bench\":\"tournament\",\"policy\":\"awrp\",\"workload\":\"hot_cold\","
       "\"accesses\":8000,\"faults\":640,\"hit_ratio\":0.9200,\"ns_per_fault\":5125.0,"
       "\"kills\":0,\"rejects\":0}\n"
@@ -344,8 +340,8 @@ bool SelfCheck(std::string* diagnostics) {
   size_t ignored = 0;
   std::vector<ReportWarning> parse_warnings;
   ParseJsonLines(in, &records, &ignored, &parse_warnings);
-  if (records.size() != 12) {
-    return fail("expected 12 records, parsed " + std::to_string(records.size()));
+  if (records.size() != 11) {
+    return fail("expected 11 records, parsed " + std::to_string(records.size()));
   }
   if (ignored != 1) {
     return fail("expected 1 ignored line, saw " + std::to_string(ignored));
@@ -375,9 +371,8 @@ bool SelfCheck(std::string* diagnostics) {
       !metric_is("scenario.sample.forced_reclaims", 7) ||
       !metric_is("scenario.sample.requests_rejected", 10) ||
       !metric_is("faultpath.normalized.fifo", 0.004321) ||
-      !metric_is("faultpath.speedup_vs_pre_pr.fifo", 2.210) ||
+      !metric_is("faultpath.jit_policy_speedup.fifo", 1.410) ||
       !metric_is("faultpath.probe_overhead_pct", 3.100) ||
-      !metric_is("interpreter.ir_speedup", 2.900) ||
       !metric_is("tournament.hit_ratio.awrp.hot_cold", 0.9200) ||
       !metric_is("tournament.ns_per_fault.awrp.hot_cold", 5125.0) ||
       !metric_is("replay.hit_ratio.awrp.kv_store", 0.7590) ||
@@ -413,7 +408,7 @@ bool SelfCheck(std::string* diagnostics) {
   }
   const JsonValue* metrics = parsed.Get("metrics");
   if (metrics == nullptr || !metrics->IsObject() ||
-      std::abs(metrics->NumberOr("interpreter.ir_speedup", 0) - 2.9) > 1e-9) {
+      std::abs(metrics->NumberOr("faultpath.probe_overhead_pct", 0) - 3.1) > 1e-9) {
     return fail("report JSON round-trip lost metrics");
   }
   if (diagnostics != nullptr) {

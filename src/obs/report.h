@@ -4,8 +4,8 @@
 //   * a human-readable summary table (one section per scenario, one row per metric), and
 //   * a machine-readable report whose "metrics" map uses exactly the flattened names
 //     check_perf_regression.py gates on (scenario.<name>.<metric>,
-//     faultpath.normalized.<policy>, interpreter.ir_speedup, ...), so a report file can be
-//     fed to the gate with --report instead of raw bench stdout.
+//     faultpath.normalized.<policy>, replay.hit_ratio.<policy>.<trace>, ...), so a report
+//     file can be fed to the gate with --report instead of raw bench stdout.
 //
 // The builder also audits what it reads: any scenario record with a nonzero trace_dropped
 // (ring-buffer overwrites — the timeline is incomplete) becomes a warning, as does any

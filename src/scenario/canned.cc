@@ -4,16 +4,16 @@ namespace hipec::scenario {
 
 namespace {
 
+using workloads::PatternKind;
+
 TenantSpec Tenant(std::string name, PolicyKind policy, PatternKind pattern, uint64_t pages,
                   size_t min_frames, size_t accesses, double write_fraction, int arrival) {
   TenantSpec t;
   t.name = std::move(name);
   t.policy = policy;
-  t.pattern = pattern;
-  t.pages = pages;
+  t.workload = workloads::Workload::Pattern(
+      {.kind = pattern, .pages = pages, .accesses = accesses, .write_fraction = write_fraction});
   t.min_frames = min_frames;
-  t.accesses = accesses;
-  t.write_fraction = write_fraction;
   t.arrival_step = arrival;
   return t;
 }

@@ -15,6 +15,7 @@
 #include "policies/policies.h"
 #include "scenario/invariants.h"
 #include "scenario/tenant_policies.h"
+#include "sim/lock.h"
 #include "workloads/workload_source.h"
 
 namespace hipec::scenario {
@@ -35,6 +36,69 @@ uint64_t TenantSeed(uint64_t scenario_seed, uint64_t ordinal) {
 const obs::ProbeId kPrbSliceNs = obs::InternProbe("scenario.slice_ns");
 
 }  // namespace
+
+void LiveTenant::Admit(mach::Kernel& kernel, core::HipecEngine& engine) {
+  const uint64_t bytes = std::max(spec.pages, source->region_pages()) * kPageSize;
+  task = kernel.CreateTask(spec.name);
+  core::HipecOptions options;
+  options.min_frames = spec.min_frames;
+  options.timeout_ns = spec.timeout_ns;
+  options.request_size = spec.request_size;
+  options.free_target = 4;
+  options.inactive_target = 8;
+  options.reserved_target = 0;
+  if (spec.policy == PolicyKind::kTwoQueue) {
+    options.user_queue_count = 2;
+  }
+  core::HipecRegion region =
+      engine.VmAllocateHipec(task, bytes, MakePolicy(spec.policy), options);
+  result.admitted = region.ok;
+  if (region.ok) {
+    addr = region.addr;
+    container = region.container;
+    container_id = container->id();
+  } else {
+    addr = kernel.VmAllocate(task, bytes);
+  }
+}
+
+void LiveTenant::Snapshot() {
+  if (container == nullptr || task->terminated()) {
+    return;
+  }
+  sim::ScopedLock lock(task->mutex());
+  if (task->terminated()) {
+    return;
+  }
+  result.faults_handled = container->faults_handled;
+  result.commands_executed = container->commands_executed;
+  result.requests_made = container->requests_made;
+  result.requests_rejected = container->requests_rejected;
+  result.frames_force_reclaimed = container->frames_force_reclaimed;
+  result.frames_reclaimed_from = container->frames_reclaimed_from;
+  result.frames_peak = std::max(result.frames_peak, container->allocated_frames);
+}
+
+TenantSpec InjectedTenantSpec(const InjectionSpec& inj, int ordinal) {
+  TenantSpec spec;
+  workloads::SyntheticSpec stream;
+  if (inj.kind == InjectionKind::kPolicyLoop) {
+    spec.name = "inject-loop-" + std::to_string(ordinal);
+    spec.policy = PolicyKind::kLooping;
+    stream.kind = workloads::PatternKind::kSequential;
+  } else {
+    spec.name = "inject-flusher-" + std::to_string(ordinal);
+    spec.policy = PolicyKind::kGreedy;
+    stream.kind = workloads::PatternKind::kBursty;
+    stream.write_fraction = 0.95;
+  }
+  stream.pages = inj.pages;
+  stream.accesses = inj.accesses;
+  spec.workload = workloads::Workload::Pattern(stream);
+  spec.min_frames = inj.min_frames;
+  spec.arrival_step = inj.at_step;
+  return spec;
+}
 
 core::PolicyProgram MakePolicy(PolicyKind kind) {
   switch (kind) {
@@ -63,15 +127,7 @@ core::PolicyProgram MakePolicy(PolicyKind kind) {
 namespace {
 
 // Runtime state for one tenant (specific application).
-struct TenantState {
-  TenantSpec spec;
-  TenantResult result;
-  std::unique_ptr<workloads::WorkloadSource> source;
-  uint64_t region_pages = 0;  // allocated region: max(spec.pages, source->region_pages())
-  mach::Task* task = nullptr;
-  core::HipecRegion region;
-  uint64_t addr = 0;
-  uint64_t container_id = 0;
+struct TenantState : LiveTenant {
   bool arrived = false;
   bool done = false;  // no further slices (completed, terminated, departed, or torn down)
 };
@@ -162,43 +218,24 @@ class ScenarioRun {
  private:
   void SetUpTenants() {
     uint64_t ordinal = 0;
-    for (const TenantSpec& spec : spec_.tenants) {
+    auto add = [&](const TenantSpec& spec, bool injected) {
       TenantState t;
       t.spec = spec;
       t.result.name = spec.name;
+      t.result.injected = injected;
       t.source = MaterializeSource(spec, spec_.seed, ordinal++);
-      t.region_pages = std::max(spec.pages, t.source->region_pages());
       tenants_.push_back(std::move(t));
+    };
+    for (const TenantSpec& spec : spec_.tenants) {
+      add(spec, false);
     }
     // The fault-injection layer materializes its loop/flusher tenants up front so the
     // schedule (and therefore the fingerprint) is fixed by the spec alone.
     int injected = 0;
     for (const InjectionSpec& inj : spec_.injections) {
-      TenantSpec spec;
-      if (inj.kind == InjectionKind::kPolicyLoop) {
-        spec.name = "inject-loop-" + std::to_string(injected++);
-        spec.policy = PolicyKind::kLooping;
-        spec.pattern = PatternKind::kSequential;
-        spec.write_fraction = 0.0;
-      } else if (inj.kind == InjectionKind::kReserveStarvation) {
-        spec.name = "inject-flusher-" + std::to_string(injected++);
-        spec.policy = PolicyKind::kGreedy;
-        spec.pattern = PatternKind::kBursty;
-        spec.write_fraction = 0.95;
-      } else {
-        continue;
+      if (InjectsTenant(inj)) {
+        add(InjectedTenantSpec(inj, injected++), true);
       }
-      spec.pages = inj.pages;
-      spec.min_frames = inj.min_frames;
-      spec.accesses = inj.accesses;
-      spec.arrival_step = inj.at_step;
-      TenantState t;
-      t.spec = spec;
-      t.result.name = spec.name;
-      t.result.injected = true;
-      t.source = MaterializeSource(spec, spec_.seed, ordinal++);
-      t.region_pages = std::max(spec.pages, t.source->region_pages());
-      tenants_.push_back(std::move(t));
     }
     for (const BackgroundSpec& spec : spec_.background) {
       BackgroundState b;
@@ -224,51 +261,14 @@ class ScenarioRun {
 
   void Spawn(TenantState& t) {
     t.arrived = true;
-    t.task = kernel_->CreateTask(t.spec.name);
-    core::HipecOptions options;
-    options.min_frames = t.spec.min_frames;
-    options.timeout_ns = t.spec.timeout_ns;
-    options.request_size = t.spec.request_size;
-    options.free_target = 4;
-    options.inactive_target = 8;
-    options.reserved_target = 0;
-    if (t.spec.policy == PolicyKind::kTwoQueue) {
-      options.user_queue_count = 2;
-    }
-    t.region = engine_->VmAllocateHipec(t.task, t.region_pages * kPageSize,
-                                        MakePolicy(t.spec.policy), options);
-    t.result.admitted = t.region.ok;
-    if (t.region.ok) {
-      t.addr = t.region.addr;
-      t.container_id = t.region.container->id();
-    } else {
-      // Admission denied: "can either run as a non-specific application or terminate and
-      // retry later" (§4.3.1). The scenario keeps it running non-specific.
-      t.addr = kernel_->VmAllocate(t.task, t.region_pages * kPageSize);
-    }
+    t.Admit(*kernel_, *engine_);
   }
 
   void Depart(TenantState& t) {
-    Snapshot(t);
+    t.Snapshot();
     kernel_->TerminateTask(t.task, "scenario departure");
     t.result.terminated = true;
     t.done = true;
-  }
-
-  // Copies the container's live counters into the result. Called after every access so the
-  // numbers survive the container being freed by a kill or teardown.
-  void Snapshot(TenantState& t) {
-    if (!t.region.ok || t.result.torn_down || t.task == nullptr || t.task->terminated()) {
-      return;
-    }
-    core::Container* c = t.region.container;
-    t.result.faults_handled = c->faults_handled;
-    t.result.commands_executed = c->commands_executed;
-    t.result.requests_made = c->requests_made;
-    t.result.requests_rejected = c->requests_rejected;
-    t.result.frames_force_reclaimed = c->frames_force_reclaimed;
-    t.result.frames_reclaimed_from = c->frames_reclaimed_from;
-    t.result.frames_peak = std::max(t.result.frames_peak, c->allocated_frames);
   }
 
   void RunTenantSlice(TenantState& t) {
@@ -289,7 +289,7 @@ class ScenarioRun {
         break;
       }
       ++t.result.accesses_done;
-      Snapshot(t);
+      t.Snapshot();
     }
     if (obs::ProbesEnabled()) {
       probes_.Record(kPrbSliceNs, kernel_->clock().now() - slice_start_ns);
@@ -342,9 +342,10 @@ class ScenarioRun {
         case InjectionKind::kTeardown:
           if (inj.tenant_index < tenants_.size()) {
             TenantState& t = tenants_[inj.tenant_index];
-            if (t.arrived && !t.done && t.region.ok && !t.task->terminated()) {
-              Snapshot(t);
+            if (t.arrived && !t.done && t.container != nullptr && !t.task->terminated()) {
+              t.Snapshot();
               kernel_->VmDeallocate(t.task, t.addr);
+              t.container = nullptr;
               t.result.torn_down = true;
               t.done = true;
             }
@@ -360,7 +361,7 @@ class ScenarioRun {
   void Finish() {
     for (TenantState& t : tenants_) {
       if (t.arrived && t.task != nullptr && !t.task->terminated()) {
-        Snapshot(t);
+        t.Snapshot();
         kernel_->TerminateTask(t.task, "scenario end");
       }
       t.result.killed_by_checker = killed_.contains(t.container_id) && t.container_id != 0;
@@ -418,22 +419,7 @@ class ScenarioRun {
 std::unique_ptr<workloads::WorkloadSource> MaterializeSource(const TenantSpec& tenant,
                                                              uint64_t scenario_seed,
                                                              uint64_t tenant_ordinal) {
-  uint64_t seed = TenantSeed(scenario_seed, tenant_ordinal);
-  if (tenant.workload.set()) {
-    return tenant.workload.Instantiate(seed);
-  }
-  workloads::SyntheticSpec synth;
-  synth.kind = tenant.pattern;
-  synth.pages = tenant.pages;
-  synth.accesses = tenant.accesses;
-  synth.write_fraction = tenant.write_fraction;
-  synth.zipf_theta = tenant.zipf_theta;
-  synth.stride = tenant.stride;
-  synth.hot_pages = tenant.hot_pages;
-  synth.hot_fraction = tenant.hot_fraction;
-  synth.burst_phase = tenant.burst_phase;
-  synth.cyclic_loops = tenant.cyclic_loops;
-  return workloads::MakePatternSource(synth, seed, tenant.name);
+  return tenant.workload.Instantiate(TenantSeed(scenario_seed, tenant_ordinal));
 }
 
 std::vector<std::pair<uint64_t, bool>> MaterializeTrace(const TenantSpec& tenant,

@@ -29,6 +29,16 @@
 #include "sim/clock.h"
 #include "workloads/workload_source.h"
 
+namespace hipec::mach {
+class Kernel;
+class Task;
+}  // namespace hipec::mach
+
+namespace hipec::core {
+class Container;
+class HipecEngine;
+}  // namespace hipec::core
+
 namespace hipec::scenario {
 
 // Which policy program a tenant registers with.
@@ -44,35 +54,20 @@ enum class PolicyKind {
   kLooping,   // PageFault never returns; only the security checker ends it
 };
 
-// The synthetic pattern family now lives in the workload layer (workloads/workload_source.h);
-// the alias keeps every existing spec-building call site compiling unchanged.
-using PatternKind = workloads::PatternKind;
-
-// One specific (HiPEC-controlled) application. Its reference stream comes from `workload`
-// when set (a loaded trace or an explicit synthetic spec); otherwise the legacy
-// pattern/parameter fields below describe a synthetic stream, routed through the single
-// PatternKind compatibility adapter (workloads::MakePatternSource) — byte-identical to the
-// pre-workload-layer generation, so golden scenario fingerprints do not move.
+// One specific (HiPEC-controlled) application. Its reference stream is `workload`: a
+// synthetic pattern (the default, Pattern({}), is 2000 hot/cold references over 128 pages) or
+// a shared pre-built source such as a loaded trace. Its region is the stream's own, widened
+// to `pages` when a spec asks for more.
 struct TenantSpec {
   std::string name;
   PolicyKind policy = PolicyKind::kGreedy;
-  workloads::Workload workload;  // when set, overrides the pattern fields below
-  PatternKind pattern = PatternKind::kHotCold;
-  uint64_t pages = 128;        // region size in pages (traces may widen it, see region_pages)
+  workloads::Workload workload = workloads::Workload::Pattern({});
+  uint64_t pages = 0;          // floor on the region size in pages
   size_t min_frames = 16;      // minFrame admission grant
-  size_t accesses = 2000;      // total references issued over the scenario
-  double write_fraction = 0.0;
   int arrival_step = 0;        // scheduling round at which the tenant registers
   int departure_step = -1;     // round at which it is terminated (-1: runs to completion)
   sim::Nanos timeout_ns = 0;   // security-checker TimeOut (0: cost-model default)
   int64_t request_size = 16;   // frames per Request command
-  // Pattern parameters (compatibility path; ignored when `workload` is set).
-  double zipf_theta = 0.9;
-  uint64_t stride = 8;
-  uint64_t hot_pages = 32;
-  double hot_fraction = 0.9;
-  size_t burst_phase = 64;
-  int cyclic_loops = 4;
 };
 
 // One non-specific Mach task (paged by the default daemon; generates global pressure).
@@ -190,10 +185,9 @@ struct ScenarioResult {
 // Throws sim::CheckFailure if the invariant auditor finds a violation.
 ScenarioResult RunScenario(const ScenarioSpec& spec);
 
-// The reference stream a tenant spec names, as a pull source with its own cursor: the
-// tenant's `workload` when set, else the legacy pattern fields via the compatibility
-// adapter. Every driver (deterministic, threaded, M:N scheduler) builds tenant streams
-// through this one function.
+// The reference stream a tenant spec names, as a pull source with its own cursor, seeded from
+// the scenario seed and the tenant's ordinal. Both drivers build tenant streams through this
+// one function.
 std::unique_ptr<workloads::WorkloadSource> MaterializeSource(const TenantSpec& tenant,
                                                              uint64_t scenario_seed,
                                                              uint64_t tenant_ordinal);
@@ -204,8 +198,45 @@ std::vector<std::pair<uint64_t, bool>> MaterializeTrace(const TenantSpec& tenant
                                                         uint64_t scenario_seed,
                                                         uint64_t tenant_ordinal);
 
-// The policy program a PolicyKind names. Shared by the deterministic and threaded drivers.
+// The policy program a PolicyKind names.
 core::PolicyProgram MakePolicy(PolicyKind kind);
+
+// --- Shared by RunScenario and RunScheduledScenario (scheduler.h) ---------------------------
+
+// A tenant's live registration: the stream it replays, its task, and its container. The
+// container is null when admission was denied (the tenant runs non-specific) and once its
+// region has been torn down.
+struct LiveTenant {
+  TenantSpec spec;
+  TenantResult result;
+  std::unique_ptr<workloads::WorkloadSource> source;
+  mach::Task* task = nullptr;
+  core::Container* container = nullptr;
+  uint64_t container_id = 0;  // outlives the container, to match checker kills
+  uint64_t addr = 0;
+
+  // Creates the task and its region, sized to cover both spec.pages and the (already
+  // materialized) source: a specific region holding min_frames if the frame manager admits
+  // it, else a non-specific one (§4.3.1: a refused application "can either run as a
+  // non-specific application or terminate and retry later" — the tenant keeps running).
+  void Admit(mach::Kernel& kernel, core::HipecEngine& engine);
+  // Copies the container's live counters into `result`, so they survive the container
+  // being freed by a kill, a teardown or the end of the run. Taken under the task's lock: in
+  // real-threads mode a reclaimer may hold it (manager -> victim task is a try-lock edge,
+  // DESIGN.md §10) while bumping frames_reclaimed_from, and termination frees the container
+  // under it, so the re-check inside the lock makes the pointer safe to chase. The lock is a
+  // no-op in deterministic mode.
+  void Snapshot();
+};
+
+// True for the injections that arrive as an extra tenant: a looping policy the checker must
+// kill (kPolicyLoop) or a write-heavy flusher (kReserveStarvation).
+inline bool InjectsTenant(const InjectionSpec& inj) {
+  return inj.kind == InjectionKind::kPolicyLoop || inj.kind == InjectionKind::kReserveStarvation;
+}
+
+// The tenant such an injection arrives as; `ordinal` numbers the injected tenants of a run.
+TenantSpec InjectedTenantSpec(const InjectionSpec& inj, int ordinal);
 
 }  // namespace hipec::scenario
 

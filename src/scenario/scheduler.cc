@@ -39,16 +39,9 @@ int64_t HostNowNs() {
 
 // One tenant's lifetime across the scheduler. Only the worker currently running the tenant
 // touches this state (the run-queue lock is the handoff fence); teardown_requested is the
-// single cross-thread field, set by the control thread's injection replay.
-struct TenantRun {
-  TenantSpec spec;
-  TenantResult result;
-  std::unique_ptr<workloads::WorkloadSource> source;  // built at admission, freed at retire
-  uint64_t region_pages = 0;  // max(spec.pages, source->region_pages())
-  mach::Task* task = nullptr;
-  core::HipecRegion region;
-  uint64_t addr = 0;
-  uint64_t container_id = 0;
+// single cross-thread field, set by the control thread's injection replay. The source is
+// built at admission and freed at retirement.
+struct TenantRun : LiveTenant {
   size_t slices_run = 0;
   std::atomic<bool> teardown_requested{false};
 };
@@ -107,8 +100,7 @@ class Scheduler {
     // reserved up front so the vector never reallocates under the workers' feet.
     injected_runs_.reserve(spec_.injections.size());
     for (const InjectionSpec& inj : spec_.injections) {
-      if (inj.kind == InjectionKind::kPolicyLoop ||
-          inj.kind == InjectionKind::kReserveStarvation) {
+      if (InjectsTenant(inj)) {
         pending_injections_.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -124,6 +116,18 @@ class Scheduler {
 
   SchedulerResult Run() {
     const auto start = std::chrono::steady_clock::now();
+    // The first wave is admitted from this thread, in spec order, one tenant per worker
+    // queue: admission verdicts against the burst watermark then depend on the spec alone,
+    // not on which worker thread wins the race to its first TryAdmit. Later admissions stay
+    // lazy (a worker admits only when its own queue is empty).
+    for (auto& w : workers_) {
+      TenantRun* run = TryAdmit();
+      if (run == nullptr) {
+        break;
+      }
+      sim::ScopedLock lock(w->mu);
+      w->queue.push_back(run);
+    }
     std::vector<std::thread> threads;
     threads.reserve(workers_.size());
     for (size_t i = 0; i < workers_.size(); ++i) {
@@ -146,53 +150,13 @@ class Scheduler {
   void Register(TenantRun& run, uint64_t ordinal) {
     int64_t t0 = obs::ProbesEnabled() ? HostNowNs() : 0;
     run.source = MaterializeSource(run.spec, spec_.seed, ordinal);
-    run.region_pages = std::max(run.spec.pages, run.source->region_pages());
-    sim::SharedWorldGuard world(kernel_->world());
-    run.task = kernel_->CreateTask(run.spec.name);
-    core::HipecOptions options;
-    options.min_frames = run.spec.min_frames;
-    options.timeout_ns = run.spec.timeout_ns;
-    options.request_size = run.spec.request_size;
-    options.free_target = 4;
-    options.inactive_target = 8;
-    options.reserved_target = 0;
-    if (run.spec.policy == PolicyKind::kTwoQueue) {
-      options.user_queue_count = 2;
-    }
-    run.region = engine_->VmAllocateHipec(run.task, run.region_pages * kPageSize,
-                                          MakePolicy(run.spec.policy), options);
-    run.result.admitted = run.region.ok;
-    if (run.region.ok) {
-      run.addr = run.region.addr;
-      run.container_id = run.region.container->id();
-    } else {
-      // Admission denied: runs non-specific (§4.3.1), still generating global pressure.
-      run.addr = kernel_->VmAllocate(run.task, run.region_pages * kPageSize);
+    {
+      sim::SharedWorldGuard world(kernel_->world());
+      run.Admit(*kernel_, *engine_);
     }
     if (obs::ProbesEnabled()) {
       probes_.Record(kPrbAdmitNs, HostNowNs() - t0);
     }
-  }
-
-  // Snapshots the container's live counters under the owning task's lock (see threaded.cc:
-  // reclaimers and termination both act under that lock, so the re-check makes the container
-  // pointer safe to chase).
-  void Snapshot(TenantRun& run) {
-    if (!run.region.ok || run.task == nullptr || run.task->terminated()) {
-      return;
-    }
-    sim::ScopedLock lock(run.task->mutex());
-    if (run.task->terminated()) {
-      return;
-    }
-    core::Container* c = run.region.container;
-    run.result.faults_handled = c->faults_handled;
-    run.result.commands_executed = c->commands_executed;
-    run.result.requests_made = c->requests_made;
-    run.result.requests_rejected = c->requests_rejected;
-    run.result.frames_force_reclaimed = c->frames_force_reclaimed;
-    run.result.frames_reclaimed_from = c->frames_reclaimed_from;
-    run.result.frames_peak = std::max(run.result.frames_peak, c->allocated_frames);
   }
 
   void Retire(TenantRun& run) {
@@ -213,11 +177,12 @@ class Scheduler {
     int64_t t0 = obs::ProbesEnabled() ? HostNowNs() : 0;
     if (run.teardown_requested.load(std::memory_order_acquire) && !run.result.torn_down &&
         !run.task->terminated()) {
-      Snapshot(run);
+      run.Snapshot();
       {
         sim::SharedWorldGuard world(kernel_->world());
         kernel_->VmDeallocate(run.task, run.addr);
       }
+      run.container = nullptr;
       run.result.torn_down = true;
       Retire(run);
       return false;
@@ -237,7 +202,7 @@ class Scheduler {
       }
       ++run.result.accesses_done;
     }
-    Snapshot(run);
+    run.Snapshot();
     ++run.slices_run;
     if (obs::ProbesEnabled()) {
       probes_.Record(kPrbSliceNs, HostNowNs() - t0);
@@ -372,26 +337,13 @@ class Scheduler {
 
   void InjectTenant(const InjectionSpec& inj, int ordinal) {
     auto run = std::make_unique<TenantRun>();
-    TenantSpec spec;
-    if (inj.kind == InjectionKind::kPolicyLoop) {
-      spec.name = "inject-loop-" + std::to_string(ordinal);
-      spec.policy = PolicyKind::kLooping;
-      spec.pattern = PatternKind::kSequential;
-      spec.write_fraction = 0.0;
+    run->spec = InjectedTenantSpec(inj, ordinal);
+    if (run->spec.policy == PolicyKind::kLooping) {
       // A looping policy only ends via the security checker; give it a short fuse so the
       // kill lands within the scenario.
-      spec.timeout_ns = 50 * sim::kMillisecond;
-    } else {
-      spec.name = "inject-flusher-" + std::to_string(ordinal);
-      spec.policy = PolicyKind::kGreedy;
-      spec.pattern = PatternKind::kBursty;
-      spec.write_fraction = 0.95;
+      run->spec.timeout_ns = 50 * sim::kMillisecond;
     }
-    spec.pages = inj.pages;
-    spec.min_frames = inj.min_frames;
-    spec.accesses = inj.accesses;
-    run->spec = spec;
-    run->result.name = spec.name;
+    run->result.name = run->spec.name;
     run->result.injected = true;
     TenantRun& r = *run;
     injected_runs_.push_back(std::move(run));
@@ -417,11 +369,7 @@ class Scheduler {
     std::vector<Event> events;
     int ordinal = 0;
     for (const InjectionSpec& inj : spec_.injections) {
-      int ord = -1;
-      if (inj.kind == InjectionKind::kPolicyLoop ||
-          inj.kind == InjectionKind::kReserveStarvation) {
-        ord = ordinal++;
-      }
+      int ord = InjectsTenant(inj) ? ordinal++ : -1;
       events.push_back({inj.at_step, Event::kApply, &inj, ord});
       if (inj.kind == InjectionKind::kDiskLatencySpike) {
         events.push_back({inj.at_step + inj.duration_steps, Event::kClearSpike, &inj, -1});
@@ -445,9 +393,7 @@ class Scheduler {
         // a lingering disk spike must not outlive the run.
         for (; next_event < events.size(); ++next_event) {
           const Event& ev = events[next_event];
-          if (ev.what == Event::kApply &&
-              (ev.inj->kind == InjectionKind::kPolicyLoop ||
-               ev.inj->kind == InjectionKind::kReserveStarvation)) {
+          if (ev.what == Event::kApply && InjectsTenant(*ev.inj)) {
             pending_injections_.fetch_sub(1, std::memory_order_release);
           }
         }
@@ -502,16 +448,12 @@ class Scheduler {
   SchedulerResult Finish(double wall_seconds) {
     // Any tenant still registered (shouldn't happen — workers drain everything — but a
     // violation-aborted audit loop leaves no guarantees) is torn down before the final audit.
-    for (auto& run : runs_) {
-      if (run->task != nullptr && !run->task->terminated()) {
-        Snapshot(*run);
-        kernel_->TerminateTask(run->task, "scheduler end");
-      }
-    }
-    for (auto& run : injected_runs_) {
-      if (run->task != nullptr && !run->task->terminated()) {
-        Snapshot(*run);
-        kernel_->TerminateTask(run->task, "scheduler end");
+    for (auto* runs : {&runs_, &injected_runs_}) {
+      for (auto& run : *runs) {
+        if (run->task != nullptr && !run->task->terminated()) {
+          run->Snapshot();
+          kernel_->TerminateTask(run->task, "scheduler end");
+        }
       }
     }
     kernel_->disk().DrainWrites();

@@ -1,15 +1,26 @@
-// The M:N tenant scheduler: thousands of tenants multiplexed over a fixed pool of worker
-// threads against one real-threads kernel. The concurrency counterpart of threaded.h for
-// churn-scale populations — a 10,000-tenant scenario cannot afford 10,000 OS threads, and
-// the interesting contention (admission, reclamation, checker kills, daemon balancing) needs
-// only as many runnable tenants as there are cores.
+// The M:N tenant scheduler, the one real-threads scenario driver: tenants multiplexed over a
+// fixed pool of worker threads against one kernel built in sim::ExecMode::kRealThreads — real
+// std::threads, the lock hierarchy armed (DESIGN.md §10), the security checker running as an
+// actual thread, and host time instead of the virtual clock. It is the concurrency
+// counterpart of scenario.h's deterministic round-robin driver and shares its tenant code
+// (scenario::LiveTenant). A 10,000-tenant churn cannot afford 10,000 OS threads, and the
+// interesting contention (admission, reclamation, checker kills, daemon balancing) needs only
+// as many runnable tenants as there are cores; with workers = max_live_tenants = tenants,
+// every tenant gets a thread of its own for the whole run.
+//
+// Nothing here is deterministic except the per-tenant streams (materialized from the spec
+// seed exactly as the deterministic driver does) and the first wave's admission verdicts:
+// interleaving, grant/reject outcomes after the first wave, and checker kills depend on the
+// host scheduler.
 //
 // Architecture (DESIGN.md §11):
 //   * Each worker owns a run queue of tenant runs behind a rank-kRunQueue lock — terminal
 //     by construction: a worker pops/pushes under it and never calls into the kernel while
-//     holding it. An idle worker first drains its own queue, then admits the next un-started
-//     tenant from the shared spec list (bounded by max_live_tenants), then work-steals from
-//     a sibling's queue tail via try-lock.
+//     holding it. The first wave, min(workers, max_live_tenants, tenants), is admitted from
+//     the calling thread in spec order before any worker starts, one tenant per queue. After
+//     that an idle worker first drains its own queue, then admits the next un-started tenant
+//     from the shared spec list (bounded by max_live_tenants), then work-steals from a
+//     sibling's queue tail via try-lock.
 //   * A tenant runs in slices of slice_accesses references; between slices it sits in a run
 //     queue and can migrate between workers freely (all per-tenant state is touched only by
 //     the worker currently running it — the run-queue lock is the handoff fence).

@@ -1,7 +1,6 @@
 #include "sim/stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -9,63 +8,9 @@
 
 namespace hipec::sim {
 
-Nanos LatencyRecorder::Min() const {
-  HIPEC_CHECK(!samples_.empty());
-  return min_;
-}
-
-Nanos LatencyRecorder::Max() const {
-  HIPEC_CHECK(!samples_.empty());
-  return max_;
-}
-
-Nanos LatencyRecorder::Percentile(double p) const {
-  HIPEC_CHECK(!samples_.empty());
-  HIPEC_CHECK(p >= 0.0 && p <= 100.0);
-  Sort();
-  if (p == 0.0) {
-    return samples_.front();
-  }
-  auto rank = static_cast<size_t>(std::ceil(p / 100.0 * static_cast<double>(samples_.size())));
-  return samples_[rank - 1];
-}
-
-void LatencyRecorder::Sort() const {
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-}
-
-CounterRegistry& CounterRegistry::Instance() {
-  static CounterRegistry registry;
-  return registry;
-}
-
-CounterId CounterRegistry::Intern(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = index_.try_emplace(name, static_cast<CounterId>(names_.size()));
-  if (inserted) {
-    names_.push_back(name);
-  }
-  return it->second;
-}
-
-CounterId CounterRegistry::Find(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(name);
-  return it == index_.end() ? kInvalid : it->second;
-}
-
-const std::string& CounterRegistry::NameOf(CounterId id) const {
-  // The reference stays valid after unlock: names_ is a deque and entries are never erased.
-  std::lock_guard<std::mutex> lock(mu_);
-  return names_[id];
-}
-
-size_t CounterRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return names_.size();
+NameTable& CounterNames() {
+  static NameTable* table = new NameTable();
+  return *table;
 }
 
 size_t CounterSet::ConcurrentSlabBase() const {
@@ -81,7 +26,7 @@ void CounterSet::EnableConcurrent() {
   concurrent_ = true;
   slabs_ = kSlabs;
   // Size for every id interned so far; later interns take the overflow path.
-  size_t want = PadStride(CounterRegistry::Instance().size());
+  size_t want = PadStride(CounterNames().size());
   stride_ = want;
   auto fresh = std::make_unique<std::atomic<int64_t>[]>(slabs_ * stride_);
   for (size_t i = 0; i < slabs_ * stride_; ++i) {
@@ -92,7 +37,7 @@ void CounterSet::EnableConcurrent() {
     fresh[i].store(values_[i].load(std::memory_order_relaxed), std::memory_order_relaxed);
   }
   values_ = std::move(fresh);
-  capacity_ = CounterRegistry::Instance().size();
+  capacity_ = CounterNames().size();
 }
 
 void CounterSet::AddSlow(CounterId id, int64_t delta) {
@@ -124,27 +69,11 @@ int64_t CounterSet::Get(CounterId id) const {
   return total;
 }
 
-void CounterSet::AddViaLegacyLookup(CounterId id, int64_t delta) {
-  // Faithfully re-do what the string-keyed implementation did per Add: materialize the key
-  // (call sites passed string literals, so every call constructed a std::string — heap
-  // allocation for names past the SSO limit) and hash it into a string-keyed map. The delta
-  // still lands in the dense slot so Get()/all() are oblivious to the mode.
-  std::string key(CounterRegistry::Instance().NameOf(id).c_str());
-  auto [it, inserted] = legacy_index_.try_emplace(std::move(key), id);
-  CounterId slot = it->second;
-  if (slot >= capacity_) [[unlikely]] {
-    Grow(slot);
-  }
-  values_[slot].store(values_[slot].load(std::memory_order_relaxed) + delta,
-                      std::memory_order_relaxed);
-}
-
 void CounterSet::Grow(CounterId id) {
   // Single-threaded only (concurrent sets size once in EnableConcurrent). Size to the whole
-  // registry (not just id+1): after static init the registry rarely grows, so one resize
+  // name table (not just id+1): after static init the table rarely grows, so one resize
   // typically covers every counter this set will ever see.
-  size_t want =
-      std::max<size_t>(CounterRegistry::Instance().size(), static_cast<size_t>(id) + 1);
+  size_t want = std::max<size_t>(CounterNames().size(), static_cast<size_t>(id) + 1);
   auto fresh = std::make_unique<std::atomic<int64_t>[]>(want);
   for (size_t i = 0; i < want; ++i) {
     fresh[i].store(i < capacity_ ? values_[i].load(std::memory_order_relaxed) : 0,
@@ -157,18 +86,18 @@ void CounterSet::Grow(CounterId id) {
 
 std::map<std::string, int64_t> CounterSet::all() const {
   std::map<std::string, int64_t> out;
-  const CounterRegistry& registry = CounterRegistry::Instance();
+  const NameTable& names = CounterNames();
   for (CounterId id = 0; id < capacity_; ++id) {
     int64_t value = Get(id);
     if (value != 0) {
-      out.emplace(registry.NameOf(id), value);
+      out.emplace(names.NameOf(id), value);
     }
   }
   if (concurrent_) {
     std::lock_guard<std::mutex> lock(overflow_mu_);
     for (const auto& [id, value] : overflow_) {
       if (value != 0 && id >= capacity_) {
-        out.emplace(registry.NameOf(id), value);
+        out.emplace(names.NameOf(id), value);
       }
     }
   }

@@ -1,120 +1,39 @@
-// Counters and latency recording for experiments and tests.
+// Interned counters for experiments and tests.
 //
 // Concurrency: everything here is single-threaded by default and pays no synchronization —
 // the deterministic execution mode stays exactly as fast and as reproducible as before. A
 // component running under ExecMode::kRealThreads calls EnableConcurrent() on its sets at
 // construction time (before worker threads exist); from then on Add() is a relaxed atomic
 // into a per-thread slab (no cross-core cache-line ping-pong on hot counters) and readers
-// sum the slabs. The registry itself is always thread-safe: interning is rare and cold.
+// sum the slabs. The name table itself is always thread-safe: interning is rare and cold.
 #ifndef HIPEC_SIM_STATS_H_
 #define HIPEC_SIM_STATS_H_
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "sim/clock.h"
+#include "sim/name_table.h"
 
 namespace hipec::sim {
-
-// Accumulates scalar samples and reports summary statistics. Keeps all samples (experiment
-// scale here is modest), so exact percentiles are available. Min/Max are running values
-// maintained by Record — querying them never forces the percentile sort.
-//
-// EnableConcurrent() makes Record() safe from many threads (one leaf mutex; recording sites
-// are far off the per-access hot path). Queries are snapshot-style: call them after the
-// recording threads have quiesced, as the tests and benches do.
-class LatencyRecorder {
- public:
-  void Record(Nanos value) {
-    if (concurrent_) {
-      std::lock_guard<std::mutex> lock(mu_);
-      RecordLocked(value);
-      return;
-    }
-    RecordLocked(value);
-  }
-
-  void EnableConcurrent() { concurrent_ = true; }
-
-  size_t count() const { return samples_.size(); }
-  Nanos sum() const { return sum_; }
-  double Mean() const { return samples_.empty() ? 0.0 : static_cast<double>(sum_) / count(); }
-  Nanos Min() const;
-  Nanos Max() const;
-  // p in [0, 100]. Nearest-rank percentile.
-  Nanos Percentile(double p) const;
-  void Clear() {
-    samples_.clear();
-    sum_ = 0;
-    min_ = 0;
-    max_ = 0;
-    sorted_ = false;
-  }
-
- private:
-  void RecordLocked(Nanos value) {
-    if (samples_.empty() || value < min_) {
-      min_ = value;
-    }
-    if (samples_.empty() || value > max_) {
-      max_ = value;
-    }
-    samples_.push_back(value);
-    sum_ += value;
-    sorted_ = false;
-  }
-  void Sort() const;
-
-  mutable std::vector<Nanos> samples_;
-  mutable bool sorted_ = false;
-  Nanos sum_ = 0;
-  Nanos min_ = 0;
-  Nanos max_ = 0;
-  bool concurrent_ = false;
-  std::mutex mu_;
-};
 
 // A dense counter index. Names are interned into small integers exactly once (normally by a
 // namespace-scope initializer in the subsystem's .cc file), and every CounterSet stores its
 // values in a plain array indexed by id — the fault path never touches a string or a tree.
 using CounterId = uint32_t;
 
-// The process-wide name <-> id table. Thread-safe: ids are dense, stable for the process
-// lifetime, and shared by every CounterSet. Names live in a deque so the references NameOf()
-// hands out stay valid across later interning.
-class CounterRegistry {
- public:
-  static CounterRegistry& Instance();
-
-  // Returns the id for `name`, interning it on first sight. Idempotent: re-registering an
-  // existing name returns the same id.
-  CounterId Intern(const std::string& name);
-
-  // Returns the id for `name` if it was ever interned, or kInvalid.
-  static constexpr CounterId kInvalid = ~CounterId{0};
-  CounterId Find(const std::string& name) const;
-
-  const std::string& NameOf(CounterId id) const;
-  size_t size() const;
-
- private:
-  CounterRegistry() = default;
-  mutable std::mutex mu_;
-  std::deque<std::string> names_;
-  std::unordered_map<std::string, CounterId> index_;
-};
+// The process-wide counter name table, shared by every CounterSet. Leaked, so it stays valid
+// in static destructors.
+NameTable& CounterNames();
 
 // Call-site shorthand for static-initializer interning:
 //   const sim::CounterId kFaults = sim::InternCounter("kernel.page_faults");
 inline CounterId InternCounter(const char* name) {
-  return CounterRegistry::Instance().Intern(name);
+  return CounterNames().Intern(name);
 }
 
 // A named bag of monotonically increasing counters. Every subsystem exposes one so tests can
@@ -132,10 +51,6 @@ inline CounterId InternCounter(const char* name) {
 class CounterSet {
  public:
   void Add(CounterId id, int64_t delta = 1) {
-    if (legacy_string_lookups_) [[unlikely]] {
-      AddViaLegacyLookup(id, delta);
-      return;
-    }
     if (id >= capacity_) [[unlikely]] {
       AddSlow(id, delta);
       return;
@@ -154,24 +69,16 @@ class CounterSet {
   void EnableConcurrent();
   bool concurrent() const { return concurrent_; }
 
-  // A/B switch for benchmarking: when enabled, every Add(CounterId) re-does the work the
-  // pre-interning implementation did per call — construct the key string and look it up in a
-  // string-keyed hash map — before landing the delta in the same dense slot. Values stay
-  // identical either way; only the per-call cost changes. bench_faultpath's pre_pr
-  // configuration turns this on so "faults/sec before interning" is measured, not estimated.
-  static void SetLegacyStringLookups(bool enabled) { legacy_string_lookups_ = enabled; }
-  static bool legacy_string_lookups() { return legacy_string_lookups_; }
-
   // Sums across slabs (exact once writers quiesce; monotonic-approximate while they run).
   int64_t Get(CounterId id) const;
 
   // String-keyed wrappers over the interned fast path.
   void Add(const std::string& name, int64_t delta = 1) {
-    Add(CounterRegistry::Instance().Intern(name), delta);
+    Add(CounterNames().Intern(name), delta);
   }
   int64_t Get(const std::string& name) const {
-    CounterId id = CounterRegistry::Instance().Find(name);
-    return id == CounterRegistry::kInvalid ? 0 : Get(id);
+    CounterId id = CounterNames().Find(name);
+    return id == NameTable::kInvalid ? 0 : Get(id);
   }
 
   // Materializes the non-zero counters, keyed by name (sorted). Zero-valued counters are
@@ -199,7 +106,6 @@ class CounterSet {
   size_t ConcurrentSlabBase() const;
   void AddSlow(CounterId id, int64_t delta);
   void Grow(CounterId id);
-  void AddViaLegacyLookup(CounterId id, int64_t delta);
 
   std::unique_ptr<std::atomic<int64_t>[]> values_;
   size_t capacity_ = 0;  // ids [0, capacity_) hit the dense arrays
@@ -209,9 +115,6 @@ class CounterSet {
   // Ids interned after EnableConcurrent sized the slabs (growth would race with writers).
   mutable std::mutex overflow_mu_;
   std::map<CounterId, int64_t> overflow_;
-  // Pre-interning cost emulation: name -> id, populated lazily while the legacy switch is on.
-  std::unordered_map<std::string, CounterId> legacy_index_;
-  static inline bool legacy_string_lookups_ = false;
 };
 
 // Formats virtual nanoseconds as a human-readable duration ("4016.5 ms", "19.0 us").

@@ -1,8 +1,30 @@
-// Unit tests for the disk model: service times, calibration, asynchronous write-back.
+// Unit tests for the disk model: service times, calibration, asynchronous write-back, and
+// allocation-free reads.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
 
 #include "disk/disk_model.h"
 #include "sim/clock.h"
+
+namespace {
+
+// Every operator new in this test binary, counted by the replacement below.
+std::atomic<uint64_t> g_allocations{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace hipec::disk {
 namespace {
@@ -109,6 +131,19 @@ TEST(DiskModelTest, ElevatorServesNearestCylinderFirst) {
   disk.WritePageAsync(3 * blocks_per_cyl);       // near
   disk.DrainWrites();
   EXPECT_EQ(disk.counters().Get("disk.writes_done"), 3);
+}
+
+// After the first read has sized the counter array, reads allocate nothing, however many
+// there are: the model keeps no per-read history.
+TEST(DiskModelTest, ReadsAreAllocationFreeAfterWarmUp) {
+  VirtualClock clock;
+  DiskModel disk(&clock, DiskParams::Era1994(), /*seed=*/12);
+  disk.ReadPage(0);
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (uint64_t i = 0; i < 100'000; ++i) {
+    disk.ReadPage(i * 37 % 4096);
+  }
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
 }
 
 TEST(DiskModelTest, DeterministicAcrossRuns) {

@@ -158,10 +158,9 @@ TEST(ProbeTest, RegistryInternsIdempotently) {
   ProbeId c = InternProbe("test.obs_probe_beta");
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
-  EXPECT_EQ(ProbeRegistry::Instance().NameOf(a), "test.obs_probe_alpha");
-  EXPECT_EQ(ProbeRegistry::Instance().Find("test.obs_probe_alpha"), a);
-  EXPECT_EQ(ProbeRegistry::Instance().Find("test.obs_probe_never_interned"),
-            ProbeRegistry::kInvalid);
+  EXPECT_EQ(ProbeNames().NameOf(a), "test.obs_probe_alpha");
+  EXPECT_EQ(ProbeNames().Find("test.obs_probe_alpha"), a);
+  EXPECT_EQ(ProbeNames().Find("test.obs_probe_never_interned"), sim::NameTable::kInvalid);
 }
 
 TEST(ProbeTest, DisabledRecordIsNoOp) {

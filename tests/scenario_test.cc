@@ -1,9 +1,10 @@
 // Multi-tenant scenario engine tests: canned contention scenarios run end to end with the
-// invariant auditor on, determinism across same-seed runs, fault injection (checker kills,
-// teardown, disk spikes, reserve starvation), and the auditor's ability to actually detect
-// corrupted frame state.
+// invariant auditor on, determinism across same-seed runs and against the recorded golden
+// fingerprints, fault injection (checker kills, teardown, disk spikes, reserve starvation),
+// and the auditor's ability to actually detect corrupted frame state.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 
 #include "hipec/engine.h"
@@ -18,6 +19,8 @@ namespace hipec::scenario {
 namespace {
 
 using mach::kPageSize;
+using workloads::PatternKind;
+using workloads::Workload;
 
 const TenantResult* FindTenant(const ScenarioResult& result, const std::string& name) {
   for (const TenantResult& t : result.tenants) {
@@ -62,6 +65,32 @@ TEST(ScenarioTest, DifferentSeedDiverges) {
   spec.seed ^= 0xDEADBEEF;
   ScenarioResult b = RunScenario(spec);
   EXPECT_NE(a.Fingerprint(), b.Fingerprint());
+}
+
+struct GoldenEntry {
+  const char* name;
+  const char* fingerprint;
+};
+
+const GoldenEntry kGolden[] = {
+#include "golden_fingerprints.inc"
+};
+
+// Every canned scenario, bit-for-bit against the recorded baseline.
+TEST(VirtualClockDeterminismTest, CannedScenariosMatchGoldenFingerprints) {
+  std::map<std::string, std::string> golden;
+  for (const GoldenEntry& e : kGolden) {
+    golden.emplace(e.name, e.fingerprint);
+  }
+  for (const ScenarioSpec& spec : AllCannedScenarios()) {
+    auto it = golden.find(spec.name);
+    ASSERT_NE(it, golden.end()) << "no golden fingerprint recorded for " << spec.name
+                                << "; regenerate with hipec-fingerprints --inc";
+    ScenarioResult result = RunScenario(spec);
+    // A mismatch means virtual-clock execution is no longer bit-for-bit reproducible
+    // against the baseline — a finding to investigate, not a golden file to update casually.
+    EXPECT_EQ(result.Fingerprint(), it->second) << spec.name;
+  }
 }
 
 // ---------------------------------------------------------------- contention scenarios
@@ -185,10 +214,8 @@ TEST(ScenarioTest, AdmissionRejectFallsBackToNonSpecific) {
   TenantSpec big;
   big.name = "too-big";
   big.policy = PolicyKind::kGreedy;
-  big.pattern = PatternKind::kSequential;
-  big.pages = 64;
+  big.workload = Workload::Pattern({.kind = PatternKind::kSequential, .pages = 64, .accesses = 200});
   big.min_frames = 4000;  // no watermark admits this
-  big.accesses = 200;
   spec.tenants.push_back(big);
   ScenarioResult result = RunScenario(spec);
   const TenantResult* t = FindTenant(result, "too-big");
@@ -203,10 +230,8 @@ TEST(ScenarioTest, AdmissionRejectFallsBackToNonSpecific) {
 
 TEST(ScenarioTest, TracesAreDeterministicPerOrdinal) {
   TenantSpec t;
-  t.pattern = PatternKind::kHotCold;
-  t.pages = 128;
-  t.accesses = 500;
-  t.write_fraction = 0.3;
+  t.workload = Workload::Pattern(
+      {.kind = PatternKind::kHotCold, .pages = 128, .accesses = 500, .write_fraction = 0.3});
   auto a = MaterializeTrace(t, 42, 0);
   auto b = MaterializeTrace(t, 42, 0);
   auto c = MaterializeTrace(t, 42, 1);

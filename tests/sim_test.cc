@@ -191,28 +191,6 @@ TEST(ZipfTest, SkewsTowardLowRanks) {
   EXPECT_GT(low, kDraws / 2);
 }
 
-TEST(LatencyRecorderTest, SummaryStatistics) {
-  LatencyRecorder rec;
-  for (Nanos v : {5, 1, 9, 3, 7}) {
-    rec.Record(v);
-  }
-  EXPECT_EQ(rec.count(), 5u);
-  EXPECT_EQ(rec.sum(), 25);
-  EXPECT_DOUBLE_EQ(rec.Mean(), 5.0);
-  EXPECT_EQ(rec.Min(), 1);
-  EXPECT_EQ(rec.Max(), 9);
-  EXPECT_EQ(rec.Percentile(50), 5);
-  EXPECT_EQ(rec.Percentile(100), 9);
-}
-
-TEST(LatencyRecorderTest, RecordAfterSortedQueryStillWorks) {
-  LatencyRecorder rec;
-  rec.Record(10);
-  EXPECT_EQ(rec.Min(), 10);
-  rec.Record(5);
-  EXPECT_EQ(rec.Min(), 5);
-}
-
 TEST(CounterSetTest, AddAndGet) {
   CounterSet counters;
   EXPECT_EQ(counters.Get("x"), 0);
@@ -222,7 +200,7 @@ TEST(CounterSetTest, AddAndGet) {
 }
 
 TEST(CounterRegistryTest, InternIsIdempotentAndRoundTrips) {
-  CounterRegistry& registry = CounterRegistry::Instance();
+  NameTable& registry = CounterNames();
   CounterId id = registry.Intern("registry_test.round_trip");
   EXPECT_EQ(registry.Intern("registry_test.round_trip"), id);  // duplicate registration
   EXPECT_EQ(registry.NameOf(id), "registry_test.round_trip");
@@ -234,9 +212,9 @@ TEST(CounterRegistryTest, InternIsIdempotentAndRoundTrips) {
 }
 
 TEST(CounterRegistryTest, FindOfUnknownNameDoesNotIntern) {
-  CounterRegistry& registry = CounterRegistry::Instance();
+  NameTable& registry = CounterNames();
   size_t size_before = registry.size();
-  EXPECT_EQ(registry.Find("registry_test.never_interned"), CounterRegistry::kInvalid);
+  EXPECT_EQ(registry.Find("registry_test.never_interned"), NameTable::kInvalid);
   EXPECT_EQ(registry.size(), size_before);
 
   // Get() by an unknown string reports 0 without registering the name.
@@ -266,23 +244,6 @@ TEST(CounterSetTest, ClearZeroesEverything) {
   EXPECT_TRUE(counters.all().empty());
   counters.Add(id);  // still usable after Clear
   EXPECT_EQ(counters.Get(id), 1);
-}
-
-TEST(CounterSetTest, LegacyStringLookupModeKeepsValuesIdentical) {
-  // The A/B switch bench_faultpath uses to price the pre-interning counter path must only
-  // change per-call cost, never observable values.
-  CounterId id = InternCounter("registry_test.legacy_mode");
-  CounterSet counters;
-  counters.Add(id, 2);
-  CounterSet::SetLegacyStringLookups(true);
-  EXPECT_TRUE(CounterSet::legacy_string_lookups());
-  counters.Add(id, 3);
-  counters.Add("registry_test.legacy_mode", 4);
-  CounterSet::SetLegacyStringLookups(false);
-  counters.Add(id, 5);
-  EXPECT_EQ(counters.Get(id), 14);
-  EXPECT_EQ(counters.Get("registry_test.legacy_mode"), 14);
-  EXPECT_EQ(counters.all().at("registry_test.legacy_mode"), 14);
 }
 
 TEST(CounterSetTest, ToStringListsNonZeroCountersSorted) {

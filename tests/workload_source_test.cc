@@ -107,11 +107,11 @@ TEST(PatternCompat, EveryKindMatchesLegacyGenerationByteForByte) {
 
 TEST(PatternCompat, ScenarioMaterializeTraceRoutesThroughAdapter) {
   scenario::TenantSpec tenant;
-  tenant.pattern = PatternKind::kZipf;
-  tenant.pages = 200;
-  tenant.accesses = 900;
-  tenant.write_fraction = 0.25;
-  tenant.zipf_theta = 0.7;
+  tenant.workload = Workload::Pattern({.kind = PatternKind::kZipf,
+                                       .pages = 200,
+                                       .accesses = 900,
+                                       .write_fraction = 0.25,
+                                       .zipf_theta = 0.7});
   auto flat = scenario::MaterializeTrace(tenant, 0x5CE11A0, 2);
   auto source = scenario::MaterializeSource(tenant, 0x5CE11A0, 2);
   ASSERT_NE(source, nullptr);
@@ -125,9 +125,8 @@ TEST(PatternCompat, ScenarioMaterializeTraceRoutesThroughAdapter) {
 
 TEST(PatternCompat, TenantOrdinalsGetIndependentStreams) {
   scenario::TenantSpec tenant;
-  tenant.pattern = PatternKind::kUniform;
-  tenant.pages = 128;
-  tenant.accesses = 400;
+  tenant.workload =
+      Workload::Pattern({.kind = PatternKind::kUniform, .pages = 128, .accesses = 400});
   auto a = scenario::MaterializeTrace(tenant, 7, 0);
   auto b = scenario::MaterializeTrace(tenant, 7, 1);
   ASSERT_EQ(a.size(), b.size());
