@@ -96,6 +96,8 @@ mach::VmPage* UserLevelPager::ChooseVictim(std::vector<mach::VmPage*>& resident)
       }
       break;
     }
+    case policies::OraclePolicy::kClock:
+      HIPEC_CHECK_MSG(false, "the user-level pager has no clock policy");
   }
   mach::VmPage* victim = resident[pick];
   resident.erase(resident.begin() + static_cast<ptrdiff_t>(pick));
@@ -124,7 +126,8 @@ bool UserLevelPager::HandleFault(const mach::FaultContext& ctx) {
         if (frame->queue != nullptr) {
           frame->queue.load()->Remove(frame);
         }
-        kernel_->EvictPage(frame, /*flush_if_dirty=*/true);
+        // The fault path holds the task lock, so the try edge inside EvictPage cannot fail.
+        HIPEC_CHECK(kernel_->EvictPage(frame, /*flush_if_dirty=*/true));
       } else {
         frame = kernel_->daemon().AllocForFault();
       }
@@ -145,7 +148,7 @@ bool UserLevelPager::HandleFault(const mach::FaultContext& ctx) {
   } else {
     ChargeCrossing();  // the replacement decision crosses to user level
     frame = ChooseVictim(region->resident);
-    kernel_->EvictPage(frame, /*flush_if_dirty=*/true);
+    HIPEC_CHECK(kernel_->EvictPage(frame, /*flush_if_dirty=*/true));  // task lock held
   }
   kernel_->InstallPage(ctx.task, ctx.entry, ctx.vaddr, frame, ctx.is_write);
   region->resident.push_back(frame);
@@ -161,7 +164,7 @@ void UserLevelPager::OnRegionTeardown(mach::Task* task, mach::VmMapEntry* entry)
       page->queue.load()->Remove(page);
     }
     if (page->object != nullptr) {
-      kernel_->EvictPage(page, /*flush_if_dirty=*/false);
+      HIPEC_CHECK(kernel_->EvictPage(page, /*flush_if_dirty=*/false));  // task lock held
     }
     kernel_->daemon().ReturnFrame(page);
   };

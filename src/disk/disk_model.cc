@@ -85,10 +85,10 @@ sim::Nanos DiskModel::ReadPage(uint64_t block) {
   return total;
 }
 
-void DiskModel::WritePageAsync(uint64_t block, std::function<void()> on_complete) {
+void DiskModel::WritePageAsync(uint64_t block, WriteDone on_complete, void* ctx) {
   sim::ScopedLock lock(mu_);
   counters_.Add(kCtrWritesQueued);
-  write_queue_.push_back(PendingWrite{block, std::move(on_complete)});
+  write_queue_.PushBack(PendingWrite{block, on_complete, ctx});
   MaybeStartWriteLocked();
 }
 
@@ -100,26 +100,44 @@ sim::Nanos DiskModel::WritePageSync(uint64_t block) {
   return service;
 }
 
+void DiskModel::WriteRing::PushBack(PendingWrite write) {
+  if (count_ == slots_.size()) {
+    std::vector<PendingWrite> grown(slots_.empty() ? 16 : 2 * slots_.size());
+    for (size_t i = 0; i < count_; ++i) {
+      grown[i] = (*this)[i];
+    }
+    slots_.swap(grown);
+    head_ = 0;
+  }
+  ++count_;
+  (*this)[count_ - 1] = write;
+}
+
+DiskModel::PendingWrite DiskModel::WriteRing::Take(size_t i) {
+  PendingWrite write = (*this)[i];
+  // Close the gap from the old end: FIFO takes i == 0 and moves nothing.
+  for (; i > 0; --i) {
+    (*this)[i] = (*this)[i - 1];
+  }
+  head_ = (head_ + 1) & (slots_.size() - 1);
+  --count_;
+  return write;
+}
+
 DiskModel::PendingWrite DiskModel::PopNextWrite() {
   HIPEC_CHECK(!write_queue_.empty());
-  if (sched_ == WriteScheduling::kFifo) {
-    PendingWrite w = std::move(write_queue_.front());
-    write_queue_.pop_front();
-    return w;
-  }
-  // Elevator: nearest cylinder to the current head position.
+  // FIFO takes the oldest write; the elevator the oldest of those nearest the head.
+  const size_t candidates = sched_ == WriteScheduling::kElevator ? write_queue_.size() : 1;
   size_t best = 0;
-  int64_t best_distance = std::llabs(CylinderOf(write_queue_[0].block) - head_cylinder_);
-  for (size_t i = 1; i < write_queue_.size(); ++i) {
+  int64_t best_distance = INT64_MAX;
+  for (size_t i = 0; i < candidates; ++i) {
     int64_t d = std::llabs(CylinderOf(write_queue_[i].block) - head_cylinder_);
     if (d < best_distance) {
       best_distance = d;
       best = i;
     }
   }
-  PendingWrite w = std::move(write_queue_[best]);
-  write_queue_.erase(write_queue_.begin() + static_cast<ptrdiff_t>(best));
-  return w;
+  return write_queue_.Take(best);
 }
 
 void DiskModel::MaybeStartWriteLocked() {
@@ -127,26 +145,26 @@ void DiskModel::MaybeStartWriteLocked() {
     return;
   }
   write_in_flight_ = true;
-  PendingWrite w = PopNextWrite();
-  sim::Nanos service = ServiceTimeNs(w.block, /*is_write=*/true);
-  auto on_complete = std::move(w.on_complete);
-  // The completion releases the disk lock before running on_complete: completion handlers
-  // re-enter higher layers (frame manager laundry) whose locks rank below kDisk.
-  clock_->ScheduleAfter(
-      service,
-      [this, on_complete = std::move(on_complete)]() {
-        {
-          sim::ScopedLock lock(mu_);
-          counters_.Add(kCtrWritesDone);
-          write_in_flight_ = false;
-        }
-        if (on_complete) {
-          on_complete();
-        }
-        sim::ScopedLock lock(mu_);
-        MaybeStartWriteLocked();
-      },
-      "disk-write-complete");
+  in_flight_ = PopNextWrite();
+  sim::Nanos service = ServiceTimeNs(in_flight_.block, /*is_write=*/true);
+  clock_->ScheduleAfter(service, [this] { CompleteWrite(); }, "disk-write-complete");
+}
+
+void DiskModel::CompleteWrite() {
+  PendingWrite done;
+  {
+    sim::ScopedLock lock(mu_);
+    counters_.Add(kCtrWritesDone);
+    write_in_flight_ = false;
+    done = in_flight_;
+  }
+  // Run the callback without the disk lock: completion handlers re-enter higher layers
+  // (frame manager laundry) whose locks rank below kDisk.
+  if (done.on_complete != nullptr) {
+    done.on_complete(done.ctx);
+  }
+  sim::ScopedLock lock(mu_);
+  MaybeStartWriteLocked();
 }
 
 void DiskModel::DrainWrites() {

@@ -14,8 +14,7 @@
 #define HIPEC_DISK_DISK_MODEL_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
+#include <vector>
 
 #include "obs/probe.h"
 #include "sim/clock.h"
@@ -77,6 +76,9 @@ enum class WriteScheduling {
 
 class DiskModel {
  public:
+  // Completion callback of an asynchronous write, called with the context it was queued with.
+  using WriteDone = void (*)(void*);
+
   // Works against either clock flavour: with a VirtualClock, reads advance virtual time and
   // write completions are discrete events; with a RealClock, service times stamp deadlines
   // and completions fire when some thread polls the clock (the frame manager does, at its
@@ -97,8 +99,9 @@ class DiskModel {
   sim::Nanos ReadPage(uint64_t block);
 
   // Queues one 4 KB page write at `block` and returns immediately. The write is performed by
-  // scheduled events; `on_complete` (optional) fires when the platters have it.
-  void WritePageAsync(uint64_t block, std::function<void()> on_complete = nullptr);
+  // scheduled events; `on_complete(ctx)` (optional) runs when the platters have it, without
+  // the disk lock held.
+  void WritePageAsync(uint64_t block, WriteDone on_complete = nullptr, void* ctx = nullptr);
 
   // Synchronous write: advances the clock by the full service time. Used only by fallback
   // paths (e.g. a HiPEC Flush when the frame manager's clean reserve is empty).
@@ -135,8 +138,29 @@ class DiskModel {
 
  private:
   struct PendingWrite {
-    uint64_t block;
-    std::function<void()> on_complete;
+    uint64_t block = 0;
+    WriteDone on_complete = nullptr;
+    void* ctx = nullptr;
+  };
+
+  // The queued writes, oldest first, in a ring that doubles when full and never shrinks, so
+  // once it reaches the high-water mark queueing allocates nothing. hipecd's flushes can
+  // outrun the disk ~50 to 1, leaving ~10^5 writes queued, so popping the oldest is O(1) and
+  // entries stay small.
+  class WriteRing {
+   public:
+    size_t size() const { return count_; }
+    bool empty() const { return count_ == 0; }
+    // The i-th oldest write.
+    PendingWrite& operator[](size_t i) { return slots_[(head_ + i) & (slots_.size() - 1)]; }
+    void PushBack(PendingWrite write);
+    // Removes the i-th oldest write; the others keep their order.
+    PendingWrite Take(size_t i);
+
+   private:
+    std::vector<PendingWrite> slots_;  // capacity: 0 or a power of two
+    size_t head_ = 0;
+    size_t count_ = 0;
   };
 
   int64_t CylinderOf(uint64_t block) const {
@@ -147,6 +171,8 @@ class DiskModel {
   // Starts the next queued write if none is in flight; mu_ must be held.
   void MaybeStartWriteLocked();
   PendingWrite PopNextWrite();
+  // The in-flight write's completion event.
+  void CompleteWrite();
 
   sim::Clock* clock_;
   // Serializes head position, RNG, the write queue, and the stats sinks (one spindle).
@@ -157,7 +183,8 @@ class DiskModel {
   int64_t head_cylinder_ = 0;
   sim::Nanos injected_read_ns_ = 0;
   bool write_in_flight_ = false;
-  std::deque<PendingWrite> write_queue_;
+  PendingWrite in_flight_;
+  WriteRing write_queue_;
   sim::CounterSet counters_;
   obs::ProbeSet probes_;
 };

@@ -136,9 +136,9 @@ void AgeScoresQueue(mach::PageQueue* queue, OperandEntry* slots, uint8_t param, 
     const int64_t reward = LoadInt(slots[param]);
     for (mach::VmPage* p = queue->head(); p != nullptr; p = p->q_next, --position) {
       int64_t value = p->user_word / kAgePositionBase;
-      if (p->reference) {
+      if (p->reference.load(std::memory_order_relaxed)) {
         value = WrapAdd(value, reward);
-        p->reference = false;
+        p->reference.store(false, std::memory_order_relaxed);
       } else if (value > 0) {
         --value;
       }
@@ -154,8 +154,8 @@ void AgeScoresQueue(mach::PageQueue* queue, OperandEntry* slots, uint8_t param, 
     const int64_t rest = p->user_word / kAgePositionBase;
     const int64_t predicted = rest % 2;
     int64_t accum = rest / 2;
-    const int64_t referenced = p->reference ? 1 : 0;
-    p->reference = false;
+    const int64_t referenced = p->reference.load(std::memory_order_relaxed) ? 1 : 0;
+    p->reference.store(false, std::memory_order_relaxed);
     if (referenced > predicted) {
       ++votes;
     } else if (predicted > referenced) {
@@ -457,7 +457,8 @@ uint8_t PolicyExecutor::RunEventSwitch(Container* c, int event, int depth, int64
         DoSet(c, inst);
         break;
       case Opcode::kRef:
-        condition_ = c->operands().ReadPage(inst.op1)->reference;
+        condition_ =
+            c->operands().ReadPage(inst.op1)->reference.load(std::memory_order_relaxed);
         break;
       case Opcode::kMod:
         condition_ = c->operands().ReadPage(inst.op1)->modified;
@@ -628,7 +629,7 @@ void PolicyExecutor::DoSet(Container* c, const Instruction& inst) {
   bool value = inst.op3 != 0;
   switch (static_cast<PageBit>(inst.op2)) {
     case PageBit::kReference:
-      page->reference = value;
+      page->reference.store(value, std::memory_order_relaxed);
       break;
     case PageBit::kModify:
       page->modified = value;

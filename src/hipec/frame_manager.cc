@@ -317,19 +317,23 @@ mach::VmPage* GlobalFrameManager::FlushExchange(Container* container, mach::VmPa
   page->owner = this;
   page->modified = false;  // contents are en route to disk
   laundry_.EnqueueTail(page, kernel_->clock().now());
-  kernel_->disk().WritePageAsync(block, [this, page] {
-    // Deterministic: fires during a foreground Advance. Real threads: fires from
-    // PollCompletions (before mu_ is taken) or DrainWrites, so take the manager lock here.
-    sim::ScopedLock lock(mu_);
-    laundry_.Remove(page);
-    reserve_.EnqueueTail(page, kernel_->clock().now());
-    counters_.Add(kCtrLaundryDone);
-  });
+  kernel_->disk().WritePageAsync(block, &GlobalFrameManager::LaunderDone, page);
   counters_.Add(kCtrFlushesAsync);
   kernel_->tracer().Record(kernel_->clock().now(), sim::TraceCategory::kManager, 3,
                            container->id(), block);
   NotifyDecision("flush-exchange");
   return replacement;
+}
+
+void GlobalFrameManager::LaunderDone(void* ctx) {
+  auto* page = static_cast<mach::VmPage*>(ctx);
+  auto* self = static_cast<GlobalFrameManager*>(page->owner);
+  // Deterministic: fires during a foreground Advance. Real threads: fires from
+  // PollCompletions (before mu_ is taken) or DrainWrites, so take the manager lock here.
+  sim::ScopedLock lock(self->mu_);
+  self->laundry_.Remove(page);
+  self->reserve_.EnqueueTail(page, self->kernel_->clock().now());
+  self->counters_.Add(kCtrLaundryDone);
 }
 
 bool GlobalFrameManager::MigrateFrame(Container* from, mach::VmPage* page, uint64_t target_id) {

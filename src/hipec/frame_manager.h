@@ -148,6 +148,9 @@ class GlobalFrameManager {
   // Real-threads mode: fire any due disk completions (laundry returns) before a decision.
   // Called before mu_ is taken — the completion callbacks acquire it themselves.
   void PollCompletions();
+  // Disk completion of a FlushExchange write-back: moves the laundered page (`ctx`) from the
+  // laundry to the reserve. The page's owner, while in the laundry, is the manager itself.
+  static void LaunderDone(void* ctx);
   // Makes >= n frames available in the daemon's free pool (balance, then normal reclamation,
   // then forced reclamation). Returns false if even that fails.
   bool EnsureManagerFrames(size_t n, Container* requester);

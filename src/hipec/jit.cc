@@ -31,8 +31,12 @@ static_assert(kDispatchKindCount == 57,
 // The emitted code loads these through raw pointers; the bridges and the interpreter go
 // through the typed C++ accessors. The probed-offset scheme keeps layout assumptions out,
 // but the *widths* are baked into the instruction templates.
-static_assert(sizeof(bool) == 1, "condition/reference/modified templates store single bytes");
+static_assert(sizeof(bool) == 1, "condition/modified templates store single bytes");
 static_assert(sizeof(std::atomic<bool>) == 1, "the kill-flag template reads a single byte");
+// A plain byte mov on x86-64 is a relaxed atomic access, which is all the C++ side uses.
+static_assert(sizeof(mach::VmPage::reference) == 1 &&
+                  decltype(mach::VmPage::reference)::is_always_lock_free,
+              "the RefBit/SetReference templates access VmPage::reference as one plain byte");
 static_assert(sizeof(std::atomic<mach::PageQueue*>) == sizeof(void*),
               "the InQ template reads VmPage::queue as one plain pointer load");
 static_assert(sizeof(size_t) == 8, "queue-count templates do 64-bit loads");

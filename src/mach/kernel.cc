@@ -192,9 +192,12 @@ void Kernel::VmDeallocate(Task* task, uint64_t start) {
 
 void Kernel::VmWire(Task* task, uint64_t vaddr, uint64_t size_bytes) {
   ctx_.Charge(params_.costs.null_syscall_ns);
+  // World before task, as in Touch; the faults go through TouchLocked so the world lock is
+  // taken once.
+  sim::SharedWorldGuard world(world_);
   sim::ScopedLock task_lock(task->mutex());
   for (uint64_t a = vaddr; a < vaddr + size_bytes; a += kPageSize) {
-    if (!Touch(task, a, /*is_write=*/false)) {
+    if (task->terminated() || !TouchLocked(task, a, /*is_write=*/false)) {
       return;
     }
     VmPage* page = pmap_.Lookup(task, a);
@@ -216,11 +219,12 @@ uint64_t Kernel::MapWiredRegion(Task* task, uint64_t size_bytes) {
   size_bytes = (size_bytes + kPageSize - 1) & ~(kPageSize - 1);
   VmObject* object = CreateAnonObject(size_bytes);
   uint64_t start = task->map().Insert(object, 0, size_bytes, /*write_protected=*/true);
+  VmMapEntry* entry = task->map().Lookup(start);
   for (uint64_t offset = 0; offset < size_bytes; offset += kPageSize) {
     VmPage* page = daemon_->AllocForFault();
     HIPEC_CHECK_MSG(page != nullptr, "out of memory wiring a command buffer");
     object->InsertPage(page, offset);
-    pmap_.Enter(task, start + offset, page, /*write_protected=*/true);
+    pmap_.Enter(task, entry, start + offset, page);
     page->wired = true;
   }
   counters_.Add(kCtrWiredPages, static_cast<int64_t>(size_bytes >> kPageShift));
@@ -235,20 +239,28 @@ bool Kernel::Touch(Task* task, uint64_t vaddr, bool is_write) {
   // space for the duration of the access. Both are no-op branches in deterministic mode.
   sim::SharedWorldGuard world(world_);
   sim::ScopedLock task_lock(task->mutex());
+  return TouchLocked(task, vaddr, is_write);
+}
+
+bool Kernel::TouchLocked(Task* task, uint64_t vaddr, bool is_write) {
   if (pending_charge_ns_.load(std::memory_order_relaxed) > 0) {
     sim::Nanos charge = pending_charge_ns_.exchange(0, std::memory_order_relaxed);
     ctx_.Charge(charge);
   }
   ctx_.Charge(params_.costs.memory_access_ns);
 
+  // One map lookup serves both the translation test and, on a miss, the fault.
+  VmMapEntry* entry = task->map().Lookup(vaddr);
+
   // TLB / page-table hit: no kernel involvement; the hardware sets reference/modify bits.
-  if (VmPage* page = pmap_.Lookup(task, vaddr); page != nullptr) {
-    if (is_write && pmap_.IsWriteProtected(page)) {
+  if (VmPage* page = entry != nullptr ? Pmap::Lookup(*entry, vaddr) : nullptr;
+      page != nullptr) {
+    if (is_write && entry->write_protected) {
       counters_.Add(kCtrProtectionFaults);
       TerminateTask(task, "wrote to a write-protected region (wired HiPEC command buffer)");
       return false;
     }
-    page->reference = true;
+    page->reference.store(true, std::memory_order_relaxed);
     if (is_write) {
       page->modified = true;
     }
@@ -263,7 +275,6 @@ bool Kernel::Touch(Task* task, uint64_t vaddr, bool is_write) {
     // The modified kernel checks every fault against the specific-region table (§5.2).
     ctx_.Charge(params_.costs.hipec_region_check_ns);
   }
-  VmMapEntry* entry = task->map().Lookup(vaddr);
   if (entry == nullptr) {
     TerminateTask(task, "segmentation violation");
     return false;
@@ -325,8 +336,8 @@ void Kernel::DefaultFault(Task* task, VmMapEntry* entry, uint64_t vaddr, bool is
     ctx_.Charge(params_.costs.fault_resident_ns);
     counters_.Add(kCtrSoftFaults);
     daemon_->ReactivateIfInactive(page);
-    pmap_.Enter(task, vaddr, page, entry->write_protected);
-    page->reference = true;
+    pmap_.Enter(task, entry, vaddr, page);
+    page->reference.store(true, std::memory_order_relaxed);
     if (is_write) {
       page->modified = true;
     }
@@ -366,8 +377,8 @@ void Kernel::InstallPage(Task* task, VmMapEntry* entry, uint64_t vaddr, VmPage* 
   }
 
   object->InsertPage(page, offset);
-  pmap_.Enter(task, vaddr & ~(kPageSize - 1), page, entry->write_protected);
-  page->reference = true;
+  pmap_.Enter(task, entry, vaddr, page);
+  page->reference.store(true, std::memory_order_relaxed);
   page->modified = is_write;
   page->last_reference_ns = ctx_.now();
 }
@@ -405,7 +416,7 @@ void Kernel::EvictPageLocked(VmPage* page, bool flush_if_dirty) {
     }
     page->object->RemovePage(page);
   }
-  page->reference = false;
+  page->reference.store(false, std::memory_order_relaxed);
   page->modified = false;
   page->busy = false;
 }

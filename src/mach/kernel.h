@@ -281,6 +281,9 @@ class Kernel {
   uint64_t AllocSwapBlocks(uint64_t n_pages);
 
  private:
+  // Touch's body, for callers that already hold the world lock (shared) and the task lock
+  // and have checked that the task is live.
+  bool TouchLocked(Task* task, uint64_t vaddr, bool is_write);
   void DefaultFault(Task* task, VmMapEntry* entry, uint64_t vaddr, bool is_write);
   // EvictPage with the task-lock edge already resolved by the caller.
   void EvictPageLocked(VmPage* page, bool flush_if_dirty);

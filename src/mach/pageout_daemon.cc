@@ -127,7 +127,7 @@ void PageoutDaemon::Balance() {
       page->busy.store(true, std::memory_order_release);
       shard.active.Remove(page);
       active_total_.fetch_sub(1, std::memory_order_relaxed);
-      page->reference = false;
+      page->reference.store(false, std::memory_order_relaxed);
       shard.inactive.EnqueueTail(page, now);
       page->busy.store(false, std::memory_order_release);
       inactive_total_.fetch_add(1, std::memory_order_relaxed);
@@ -148,9 +148,9 @@ void PageoutDaemon::Balance() {
       shard.inactive.Remove(page);
       inactive_total_.fetch_sub(1, std::memory_order_relaxed);
       ++examined;
-      if (page->reference) {
+      if (page->reference.load(std::memory_order_relaxed)) {
         // Referenced while inactive: give it a second chance on the active queue.
-        page->reference = false;
+        page->reference.store(false, std::memory_order_relaxed);
         shard.active.EnqueueTail(page, now);
         active_total_.fetch_add(1, std::memory_order_relaxed);
         page->busy.store(false, std::memory_order_release);
@@ -281,7 +281,7 @@ void PageoutDaemon::ReturnFrame(VmPage* page) {
   HIPEC_CHECK_MSG(page->object == nullptr, "frame still resident in an object");
   HIPEC_CHECK_MSG(!page->has_mapping, "frame still mapped");
   page->owner = nullptr;
-  page->reference = false;
+  page->reference.store(false, std::memory_order_relaxed);
   page->modified = false;
   page->wired = false;
   sim::Nanos now = kernel_->clock().now();

@@ -4,12 +4,13 @@
 
 namespace hipec::mach {
 
-void Pmap::Enter(Task* task, uint64_t vaddr, VmPage* page, bool write_protected) {
+void Pmap::Enter(Task* task, VmMapEntry* entry, uint64_t vaddr, VmPage* page) {
   HIPEC_CHECK_MSG(!page->has_mapping,
                   "frame " << page->frame_number << " is already mapped (single-mapping model)");
-  auto [it, inserted] =
-      task->pmap_translations().emplace(Vpn(vaddr), PmapTranslation{page, write_protected});
-  HIPEC_CHECK_MSG(inserted, "vaddr already translated");
+  HIPEC_CHECK_MSG(vaddr >= entry->start && vaddr < entry->end, "vaddr outside its map entry");
+  const uint64_t index = entry->PageIndex(vaddr);
+  HIPEC_CHECK_MSG(entry->translations.Get(index) == nullptr, "vaddr already translated");
+  entry->translations.Set(index, page);
   page->has_mapping = true;
   page->mapped_task = task;
   page->mapped_vaddr = vaddr & ~(kPageSize - 1);
@@ -17,42 +18,32 @@ void Pmap::Enter(Task* task, uint64_t vaddr, VmPage* page, bool write_protected)
 }
 
 VmPage* Pmap::Lookup(const Task* task, uint64_t vaddr) const {
-  const auto& table = task->pmap_translations();
-  auto it = table.find(Vpn(vaddr));
-  return it == table.end() ? nullptr : it->second.page;
+  const VmMapEntry* entry = task->map().Lookup(vaddr);
+  return entry == nullptr ? nullptr : Lookup(*entry, vaddr);
+}
+
+VmMapEntry* Pmap::MappedEntry(const VmPage* page) {
+  VmMapEntry* entry = page->mapped_task->map().Lookup(page->mapped_vaddr);
+  HIPEC_CHECK_MSG(entry != nullptr, "mapped page outside every map entry of its task");
+  return entry;
 }
 
 void Pmap::RemovePage(VmPage* page) {
   if (!page->has_mapping) {
     return;
   }
-  size_t erased = page->mapped_task->pmap_translations().erase(Vpn(page->mapped_vaddr));
-  HIPEC_CHECK(erased == 1);
+  VmMapEntry* entry = MappedEntry(page);
+  const uint64_t index = entry->PageIndex(page->mapped_vaddr);
+  HIPEC_CHECK(entry->translations.Get(index) == page);
+  entry->translations.Set(index, nullptr);
   page->has_mapping = false;
   page->mapped_task = nullptr;
   page->mapped_vaddr = 0;
   count_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-void Pmap::RemoveTask(Task* task) {
-  for (auto& [vpn, translation] : task->pmap_translations()) {
-    VmPage* page = translation.page;
-    page->has_mapping = false;
-    page->mapped_task = nullptr;
-    page->mapped_vaddr = 0;
-    count_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  task->pmap_translations().clear();
-}
-
 bool Pmap::IsWriteProtected(const VmPage* page) const {
-  if (!page->has_mapping) {
-    return false;
-  }
-  const auto& table = page->mapped_task->pmap_translations();
-  auto it = table.find(Vpn(page->mapped_vaddr));
-  HIPEC_CHECK(it != table.end());
-  return it->second.write_protected;
+  return page->has_mapping && MappedEntry(page)->write_protected;
 }
 
 }  // namespace hipec::mach

@@ -1,5 +1,7 @@
 #include "mach/vm_map.h"
 
+#include <utility>
+
 #include "sim/check.h"
 
 namespace hipec::mach {
@@ -41,7 +43,8 @@ void VmMap::InsertAt(uint64_t start, VmObject* object, uint64_t object_offset, u
 VmMapEntry VmMap::Remove(uint64_t start) {
   auto it = entries_.find(start);
   HIPEC_CHECK_MSG(it != entries_.end(), "no map entry at this address");
-  VmMapEntry entry = it->second;
+  HIPEC_CHECK_MSG(it->second.translations.empty(), "removing a region with pages still mapped");
+  VmMapEntry entry = std::move(it->second);
   entries_.erase(it);
   return entry;
 }

@@ -1,6 +1,10 @@
 // Per-task address maps, modelled on Mach's `vm_map`: an ordered set of entries, each mapping
 // a contiguous virtual range onto a VM object. The *region* — one map entry — is HiPEC's unit
 // of specific control (§3).
+//
+// Each entry also holds the pmap translations of its pages (mach/pmap.h) in a radix page
+// table indexed by page number within the entry, so a fault finds the entry once and then
+// both tests and installs its translation by index, without a per-task hash table.
 #ifndef HIPEC_MACH_VM_MAP_H_
 #define HIPEC_MACH_VM_MAP_H_
 
@@ -8,8 +12,8 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <unordered_map>
 
+#include "mach/page_table.h"
 #include "mach/vm_object.h"
 #include "sim/lock.h"
 
@@ -22,11 +26,16 @@ struct VmMapEntry {
   uint64_t object_offset = 0;  // object offset corresponding to `start`
   // Read-only region; writes terminate the task. Used for wired HiPEC command buffers (§4.1).
   bool write_protected = false;
+  // The pmap translation of each page of the range, or nullptr. Written only by Pmap, with
+  // the owning task's lock held.
+  PageTable<VmPage*> translations{(end - start) >> kPageShift};
 
   uint64_t size() const { return end - start; }
   uint64_t OffsetOf(uint64_t vaddr) const {
     return object_offset + ((vaddr - start) & ~(kPageSize - 1));
   }
+  // Page number of `vaddr` within the entry: its slot in `translations`.
+  uint64_t PageIndex(uint64_t vaddr) const { return (vaddr - start) >> kPageShift; }
 };
 
 class VmMap {
@@ -47,7 +56,8 @@ class VmMap {
   void InsertAt(uint64_t start, VmObject* object, uint64_t object_offset, uint64_t size,
                 bool write_protected = false);
 
-  // Removes the entry starting at `start`; returns the removed entry.
+  // Removes the entry starting at `start`, which must have no translation left; returns the
+  // removed entry.
   VmMapEntry Remove(uint64_t start);
 
   size_t entry_count() const { return entries_.size(); }
@@ -70,21 +80,11 @@ class VmMap {
 // A Mach task: an address space plus termination state. Thread scheduling is handled by the
 // workload models; the kernel only needs the address space and fault accounting here.
 //
-// Concurrency: mutex() (rank kTask) guards the address map, the pmap translations of this
-// task, and pages mapped into it. Fault threads take it blocking at kernel entry; the
+// Concurrency: mutex() (rank kTask) guards the address map, the pmap translations in its
+// entries, and pages mapped into it. Fault threads take it blocking at kernel entry; the
 // manager and daemon reach it only via try_lock (DESIGN.md §10). The terminated flag is a
 // relaxed atomic so the checker and other tasks' fault paths can poll it lock-free; the
 // reason string is written once, under the task lock, before the flag is raised.
-// One virtual-to-physical translation (mach/pmap.h). Stored inside the owning Task rather
-// than in a shared pmap-wide table: tasks are created while other tasks fault concurrently
-// (the M:N scheduler admits tenants throughout a run), and a shared id-keyed outer map would
-// rehash under readers. Per-task storage is guarded by the task's own kTask lock like the
-// rest of its address-space state, and needs no global structure at all.
-struct PmapTranslation {
-  VmPage* page;
-  bool write_protected;
-};
-
 class Task {
  public:
   Task(uint64_t id, std::string name) : id_(id), name_(std::move(name)) {}
@@ -95,15 +95,6 @@ class Task {
   const std::string& name() const { return name_; }
   VmMap& map() { return map_; }
   const VmMap& map() const { return map_; }
-
-  // The task's translation table (virtual page number -> translation), written only by
-  // Pmap with this task's mutex held.
-  std::unordered_map<uint64_t, PmapTranslation>& pmap_translations() {
-    return pmap_translations_;
-  }
-  const std::unordered_map<uint64_t, PmapTranslation>& pmap_translations() const {
-    return pmap_translations_;
-  }
 
   sim::OrderedMutex& mutex() const { return mu_; }
 
@@ -122,7 +113,6 @@ class Task {
   std::string name_;
   mutable sim::OrderedMutex mu_{sim::LockRank::kTask};
   VmMap map_;
-  std::unordered_map<uint64_t, PmapTranslation> pmap_translations_;
   std::atomic<bool> terminated_{false};
   std::string termination_reason_;
 };

@@ -1,14 +1,16 @@
 // VM objects, modelled on Mach's `vm_object`: a pager-backed segment of data (a memory-mapped
 // file or an anonymous region backed by the default pager / swap). HiPEC mounts its container
 // under the VM object (§4.1), so the object carries an opaque container pointer.
+//
+// Residency and the paged-out marks are radix page tables indexed by page number
+// (mach/page_table.h), so installing and evicting a page on the fault path allocates nothing.
 #ifndef HIPEC_MACH_VM_OBJECT_H_
 #define HIPEC_MACH_VM_OBJECT_H_
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 
+#include "mach/page_table.h"
 #include "mach/vm_page.h"
 
 namespace hipec::mach {
@@ -29,19 +31,19 @@ class VmObject {
   uint64_t size() const { return size_bytes_; }
   bool file_backed() const { return file_backed_; }
 
-  // Residency.
-  VmPage* Lookup(uint64_t offset) const;
+  // Residency. Lookup returns nullptr for an offset beyond the object.
+  VmPage* Lookup(uint64_t offset) const { return resident_.Get(offset >> kPageShift); }
   void InsertPage(VmPage* page, uint64_t offset);
   void RemovePage(VmPage* page);
-  size_t resident_count() const { return resident_.size(); }
 
   // Backing store. A fault must read from disk when the data exists only on disk: always for
   // file-backed objects, and for anonymous objects only at offsets previously paged out.
   uint64_t BlockFor(uint64_t offset) const { return disk_base_block_ + (offset >> kPageShift); }
   bool NeedsDiskRead(uint64_t offset) const {
-    return file_backed_ || paged_out_.contains(offset);
+    return file_backed_ || paged_out_.Get(offset >> kPageShift) != 0;
   }
-  void MarkPagedOut(uint64_t offset) { paged_out_.insert(offset); }
+  // CHECKs that `offset` lies within the object.
+  void MarkPagedOut(uint64_t offset) { paged_out_.Set(offset >> kPageShift, 1); }
 
   // HiPEC container mounted under this object (opaque at this layer; owned by the engine).
   void* container = nullptr;
@@ -50,12 +52,10 @@ class VmObject {
   // nullptr means the kernel pages the object directly against the disk.
   ExternalPager* pager = nullptr;
 
-  // Walks resident pages; `fn` must not mutate residency.
+  // Walks resident pages in offset order; `fn` must not mutate residency.
   template <typename Fn>
   void ForEachResident(Fn&& fn) const {
-    for (const auto& [offset, page] : resident_) {
-      fn(offset, page);
-    }
+    resident_.ForEach([&fn](uint64_t index, VmPage* page) { fn(index << kPageShift, page); });
   }
 
  private:
@@ -64,8 +64,8 @@ class VmObject {
   uint64_t size_bytes_;
   bool file_backed_;
   uint64_t disk_base_block_;
-  std::unordered_map<uint64_t, VmPage*> resident_;
-  std::unordered_set<uint64_t> paged_out_;
+  PageTable<VmPage*> resident_;
+  PageTable<uint8_t> paged_out_;  // 1 where the data was written to the backing store
 };
 
 }  // namespace hipec::mach

@@ -46,8 +46,11 @@ struct VmPage {
   // residency — spins on it so "queue == nullptr" is never mistaken for "off every queue"
   // while a concurrent balance pass is mid-transition.
   std::atomic<bool> busy{false};
-  bool reference = false;  // pmap-emulated reference bit
-  bool modified = false;   // pmap-emulated modify (dirty) bit
+  // pmap-emulated reference bit. Atomic because the fault path sets it under the task lock
+  // while a pageout-daemon balance pass clears it under a shard lock only; every access is
+  // relaxed, as on hardware. The policy JIT reads and writes it as a plain byte.
+  std::atomic<bool> reference{false};
+  bool modified = false;  // pmap-emulated modify (dirty) bit
 
   // Simulator-maintained recency, used by the LRU/MRU complex commands. On real Mach this is
   // approximated with reference-bit sampling (Draves, "Page Replacement and Reference Bit

@@ -1,10 +1,47 @@
 #include "sim/clock.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "sim/check.h"
 
 namespace hipec::sim {
+
+namespace {
+
+// Heap order: the event that fires later sorts first, so the heap's front fires next.
+bool FiresAfter(const EventQueue::Event& a, const EventQueue::Event& b) {
+  return a.deadline != b.deadline ? a.deadline > b.deadline : a.id > b.id;
+}
+
+}  // namespace
+
+Clock::EventId EventQueue::Push(Nanos when, Clock::Callback fn) {
+  const Clock::EventId id = next_id_++;
+  heap_.push_back(Event{when, id, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), FiresAfter);
+  return id;
+}
+
+EventQueue::Event EventQueue::Pop() {
+  HIPEC_CHECK(!heap_.empty());
+  std::pop_heap(heap_.begin(), heap_.end(), FiresAfter);
+  Event event = std::move(heap_.back());
+  heap_.pop_back();
+  return event;
+}
+
+bool EventQueue::Cancel(Clock::EventId id) {
+  auto it = std::find_if(heap_.begin(), heap_.end(),
+                         [id](const Event& event) { return event.id == id; });
+  if (it == heap_.end()) {
+    return false;
+  }
+  std::swap(*it, heap_.back());
+  heap_.pop_back();
+  std::make_heap(heap_.begin(), heap_.end(), FiresAfter);
+  return true;
+}
 
 void VirtualClock::AdvanceSlow(Nanos delta) {
   HIPEC_CHECK_MSG(delta >= 0, "cannot advance the clock backwards (delta=" << delta << ")");
@@ -21,62 +58,33 @@ void VirtualClock::AdvanceTo(Nanos when) {
   now_ = when;
 }
 
-VirtualClock::EventId VirtualClock::ScheduleAt(Nanos when, Callback fn, std::string label) {
+VirtualClock::EventId VirtualClock::ScheduleAt(Nanos when, Callback fn, const char* label) {
   HIPEC_CHECK_MSG(when >= now_, "event scheduled in the past: " << label);
-  EventId id = next_id_++;
-  events_.emplace(Key{when, next_seq_++}, Event{id, std::move(fn), std::move(label)});
-  live_ids_.insert(id);
-  return id;
+  return events_.Push(when, std::move(fn));
 }
 
-VirtualClock::EventId VirtualClock::ScheduleAfter(Nanos delta, Callback fn, std::string label) {
+VirtualClock::EventId VirtualClock::ScheduleAfter(Nanos delta, Callback fn, const char* label) {
   HIPEC_CHECK_MSG(delta >= 0, "negative delay for event: " << label);
-  return ScheduleAt(now_ + delta, std::move(fn), std::move(label));
-}
-
-bool VirtualClock::Cancel(EventId id) {
-  auto live = live_ids_.find(id);
-  if (live == live_ids_.end()) {
-    return false;
-  }
-  live_ids_.erase(live);
-  for (auto it = events_.begin(); it != events_.end(); ++it) {
-    if (it->second.id == id) {
-      events_.erase(it);
-      return true;
-    }
-  }
-  return false;
+  return ScheduleAt(now_ + delta, std::move(fn), label);
 }
 
 Nanos VirtualClock::next_deadline() const {
-  if (events_.empty()) {
-    return -1;
-  }
-  return events_.begin()->first.first;
+  return events_.empty() ? -1 : events_.earliest();
 }
 
-RealClock::EventId RealClock::ScheduleAt(Nanos when, Callback fn, std::string label) {
+RealClock::EventId RealClock::ScheduleAt(Nanos when, Callback fn, const char* /*label*/) {
   std::lock_guard<std::mutex> lock(mu_);
-  EventId id = next_id_++;
-  events_.emplace(Key{when, next_seq_++}, Event{id, std::move(fn), std::move(label)});
-  return id;
+  return events_.Push(when, std::move(fn));
 }
 
-RealClock::EventId RealClock::ScheduleAfter(Nanos delta, Callback fn, std::string label) {
+RealClock::EventId RealClock::ScheduleAfter(Nanos delta, Callback fn, const char* label) {
   HIPEC_CHECK_MSG(delta >= 0, "negative delay for event: " << label);
-  return ScheduleAt(now() + delta, std::move(fn), std::move(label));
+  return ScheduleAt(now() + delta, std::move(fn), label);
 }
 
 bool RealClock::Cancel(EventId id) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = events_.begin(); it != events_.end(); ++it) {
-    if (it->second.id == id) {
-      events_.erase(it);
-      return true;
-    }
-  }
-  return false;
+  return events_.Cancel(id);
 }
 
 size_t RealClock::pending_events() const {
@@ -86,7 +94,7 @@ size_t RealClock::pending_events() const {
 
 Nanos RealClock::next_deadline() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return events_.empty() ? -1 : events_.begin()->first.first;
+  return events_.empty() ? -1 : events_.earliest();
 }
 
 size_t RealClock::PollDue(bool fire_all) {
@@ -95,17 +103,15 @@ size_t RealClock::PollDue(bool fire_all) {
   // other threads touching the callbacks' state (DESIGN.md §10).
   size_t fired = 0;
   for (;;) {
-    Event event;
+    Callback fn;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (events_.empty() || (!fire_all && events_.begin()->first.first > now())) {
+      if (events_.empty() || (!fire_all && events_.earliest() > now())) {
         return fired;
       }
-      auto it = events_.begin();
-      event = std::move(it->second);
-      events_.erase(it);
+      fn = events_.Pop().fn;
     }
-    event.fn();
+    fn();
     ++fired;
   }
 }
@@ -113,13 +119,9 @@ size_t RealClock::PollDue(bool fire_all) {
 void VirtualClock::DispatchDueEvents(Nanos horizon) {
   // Events fired here may schedule new events, possibly also due before `horizon`; the loop
   // re-inspects the queue head every iteration so those fire in correct order too.
-  while (!events_.empty() && events_.begin()->first.first <= horizon) {
-    auto it = events_.begin();
-    Nanos deadline = it->first.first;
-    Event event = std::move(it->second);
-    events_.erase(it);
-    live_ids_.erase(event.id);
-    now_ = deadline;  // Callbacks observe their own deadline as now().
+  while (!events_.empty() && events_.earliest() <= horizon) {
+    EventQueue::Event event = events_.Pop();
+    now_ = event.deadline;  // Callbacks observe their own deadline as now().
     dispatching_ = true;
     try {
       event.fn();

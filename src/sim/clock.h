@@ -16,16 +16,17 @@
 // Hot paths that charge per-command costs keep a raw `VirtualClock*` (null in real mode) so
 // the deterministic mode pays no virtual dispatch: see KernelContext::Charge() in
 // mach/kernel.h.
+//
+// Both clocks keep their events in one EventQueue, a binary min-heap in a vector, so at
+// steady state scheduling and firing an event allocate nothing (DESIGN.md §7).
 #ifndef HIPEC_SIM_CLOCK_H_
 #define HIPEC_SIM_CLOCK_H_
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <mutex>
-#include <string>
-#include <unordered_set>
+#include <vector>
 
 namespace hipec::sim {
 
@@ -46,6 +47,10 @@ enum class ExecMode {
 // The seam both clocks implement. Deadline-queue semantics are shared: events fire in
 // (deadline, scheduling order); a callback may schedule or cancel events but must not advance
 // time itself.
+//
+// A callback on the fault path must capture at most 16 trivially copyable bytes (`this` and
+// one pointer, say): libstdc++ then stores it inside the std::function instead of on the
+// heap. tests/fault_path_alloc_test.cc holds the fault path to zero allocations.
 class Clock {
  public:
   using EventId = uint64_t;
@@ -65,11 +70,11 @@ class Clock {
   virtual void AdvanceTo(Nanos when) = 0;
 
   // Schedules `fn` to run at absolute time `when` (>= now()). Returns an id usable with
-  // Cancel(). `label` is kept for diagnostics.
-  virtual EventId ScheduleAt(Nanos when, Callback fn, std::string label = "") = 0;
+  // Cancel(). `label`, a string literal, names the event in error messages.
+  virtual EventId ScheduleAt(Nanos when, Callback fn, const char* label = "") = 0;
 
   // Schedules `fn` to run `delta` ns from now.
-  virtual EventId ScheduleAfter(Nanos delta, Callback fn, std::string label = "") = 0;
+  virtual EventId ScheduleAfter(Nanos delta, Callback fn, const char* label = "") = 0;
 
   // Cancels a pending event. Returns false if it already fired or was never scheduled.
   virtual bool Cancel(EventId id) = 0;
@@ -91,6 +96,34 @@ class Clock {
     (void)fire_all;
     return 0;
   }
+};
+
+// The deadline queue behind both clocks: a binary min-heap on (deadline, id) in one vector.
+// Ids are issued in scheduling order, so same-deadline events fire in the order they were
+// scheduled. The vector only grows, to the high-water mark of pending events. Not
+// synchronized; RealClock guards its queue with its own mutex.
+class EventQueue {
+ public:
+  struct Event {
+    Nanos deadline = 0;
+    Clock::EventId id = 0;
+    Clock::Callback fn;
+  };
+
+  bool empty() const { return heap_.empty(); }
+  size_t size() const { return heap_.size(); }
+  // Deadline of the earliest event, or INT64_MAX when there is none.
+  Nanos earliest() const { return heap_.empty() ? INT64_MAX : heap_.front().deadline; }
+
+  Clock::EventId Push(Nanos when, Clock::Callback fn);
+  // Removes and returns the earliest event; the queue must not be empty.
+  Event Pop();
+  // Removes a pending event: a linear search, then a re-heap. False if `id` is not pending.
+  bool Cancel(Clock::EventId id);
+
+ private:
+  std::vector<Event> heap_;
+  Clock::EventId next_id_ = 1;
 };
 
 // The deterministic discrete-event clock.
@@ -118,8 +151,7 @@ class VirtualClock final : public Clock {
   // step — the overwhelmingly common case — advancing is a single compare plus an add.
   void Advance(Nanos delta) override {
     Nanos when = now_ + delta;
-    if (delta >= 0 && !dispatching_ &&
-        (events_.empty() || events_.begin()->first.first > when)) [[likely]] {
+    if (delta >= 0 && !dispatching_ && events_.earliest() > when) [[likely]] {
       now_ = when;
       return;
     }
@@ -128,9 +160,9 @@ class VirtualClock final : public Clock {
 
   void AdvanceTo(Nanos when) override;
 
-  EventId ScheduleAt(Nanos when, Callback fn, std::string label = "") override;
-  EventId ScheduleAfter(Nanos delta, Callback fn, std::string label = "") override;
-  bool Cancel(EventId id) override;
+  EventId ScheduleAt(Nanos when, Callback fn, const char* label = "") override;
+  EventId ScheduleAfter(Nanos delta, Callback fn, const char* label = "") override;
+  bool Cancel(EventId id) override { return events_.Cancel(id); }
 
   size_t pending_events() const override { return events_.size(); }
   Nanos next_deadline() const override;
@@ -158,28 +190,16 @@ class VirtualClock final : public Clock {
     if (dispatching_) [[unlikely]] {
       return INT64_MIN;
     }
-    return events_.empty() ? INT64_MAX : events_.begin()->first.first;
+    return events_.earliest();
   }
 
  private:
-  struct Event {
-    EventId id;
-    Callback fn;
-    std::string label;
-  };
-
-  // Key: (deadline, sequence) so that same-deadline events fire in scheduling order.
-  using Key = std::pair<Nanos, uint64_t>;
-
   void AdvanceSlow(Nanos delta);
   void DispatchDueEvents(Nanos horizon);
 
   Nanos now_ = 0;
-  uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;
   bool dispatching_ = false;
-  std::map<Key, Event> events_;
-  std::unordered_set<EventId> live_ids_;
+  EventQueue events_;
 };
 
 // Monotonic host clock for the real-threads mode. now() is steady_clock time since
@@ -205,8 +225,8 @@ class RealClock final : public Clock {
   void Advance(Nanos) override {}
   void AdvanceTo(Nanos) override {}
 
-  EventId ScheduleAt(Nanos when, Callback fn, std::string label = "") override;
-  EventId ScheduleAfter(Nanos delta, Callback fn, std::string label = "") override;
+  EventId ScheduleAt(Nanos when, Callback fn, const char* label = "") override;
+  EventId ScheduleAfter(Nanos delta, Callback fn, const char* label = "") override;
   bool Cancel(EventId id) override;
 
   size_t pending_events() const override;
@@ -216,18 +236,9 @@ class RealClock final : public Clock {
   size_t PollDue(bool fire_all = false) override;
 
  private:
-  struct Event {
-    EventId id;
-    Callback fn;
-    std::string label;
-  };
-  using Key = std::pair<Nanos, uint64_t>;
-
   std::chrono::steady_clock::time_point epoch_;
   mutable std::mutex mu_;
-  uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;
-  std::map<Key, Event> events_;
+  EventQueue events_;  // guarded by mu_
 };
 
 }  // namespace hipec::sim

@@ -2,29 +2,9 @@
 // allocation-free reads.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
+#include "alloc_counter.h"
 #include "disk/disk_model.h"
 #include "sim/clock.h"
-
-namespace {
-
-// Every operator new in this test binary, counted by the replacement below.
-std::atomic<uint64_t> g_allocations{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace hipec::disk {
 namespace {
@@ -97,7 +77,9 @@ TEST(DiskModelTest, WritesDrainViaEvents) {
   DiskModel disk(&clock, DiskParams::Era1994(), /*seed=*/7);
   int completed = 0;
   for (int i = 0; i < 10; ++i) {
-    disk.WritePageAsync(static_cast<uint64_t>(i) * 1000, [&] { ++completed; });
+    disk.WritePageAsync(
+        static_cast<uint64_t>(i) * 1000, [](void* count) { ++*static_cast<int*>(count); },
+        &completed);
   }
   disk.DrainWrites();
   EXPECT_EQ(completed, 10);
@@ -133,17 +115,27 @@ TEST(DiskModelTest, ElevatorServesNearestCylinderFirst) {
   EXPECT_EQ(disk.counters().Get("disk.writes_done"), 3);
 }
 
-// After the first read has sized the counter array, reads allocate nothing, however many
-// there are: the model keeps no per-read history.
+// After a first read and write have sized the counter array, the write ring and the event
+// heap, reads and asynchronous writes with completions allocate nothing, however many there
+// are: the model keeps no per-read history and a completion is a function pointer.
 TEST(DiskModelTest, ReadsAreAllocationFreeAfterWarmUp) {
   VirtualClock clock;
   DiskModel disk(&clock, DiskParams::Era1994(), /*seed=*/12);
+  uint64_t completed = 0;
+  const DiskModel::WriteDone count = [](void* n) { ++*static_cast<uint64_t*>(n); };
   disk.ReadPage(0);
-  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  disk.WritePageAsync(0, count, &completed);
+  disk.DrainWrites();
+  const uint64_t before = alloc_counter::AllocationCount();
   for (uint64_t i = 0; i < 100'000; ++i) {
     disk.ReadPage(i * 37 % 4096);
+    if (i % 3 == 0) {
+      disk.WritePageAsync(i * 53 % 4096, count, &completed);
+    }
   }
-  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
+  disk.DrainWrites();
+  EXPECT_EQ(alloc_counter::AllocationCount() - before, 0u);
+  EXPECT_EQ(completed, 1u + 33'334u);
 }
 
 TEST(DiskModelTest, DeterministicAcrossRuns) {

@@ -432,6 +432,8 @@ PolicyProgram ProgramFor(const OracleCase& param) {
       return policies::LruPolicy(param.style);
     case OraclePolicy::kMru:
       return policies::MruPolicy(param.style);
+    case OraclePolicy::kClock:
+      return policies::ClockPolicy();
   }
   return {};
 }

@@ -6,6 +6,7 @@
 
 #include "mach/kernel.h"
 #include "mach/page_queue.h"
+#include "mach/page_table.h"
 #include "mach/pmap.h"
 #include "mach/vm_map.h"
 #include "mach/vm_object.h"
@@ -130,6 +131,52 @@ TEST(PageQueueTest, ForEachVisitsInOrder) {
   EXPECT_EQ(seen.back(), &pages[4]);
 }
 
+// ---------------------------------------------------------------- PageTable
+
+TEST(PageTableTest, DepthFollowsTheRange) {
+  EXPECT_EQ(PageTable<uint8_t>(1).levels(), 1);
+  EXPECT_EQ(PageTable<uint8_t>(512).levels(), 1);
+  EXPECT_EQ(PageTable<uint8_t>(513).levels(), 2);
+  EXPECT_EQ(PageTable<uint8_t>(uint64_t{1} << 18).levels(), 2);
+  EXPECT_EQ(PageTable<uint8_t>((uint64_t{1} << 18) + 1).levels(), 3);
+  EXPECT_EQ(PageTable<uint8_t>(uint64_t{1} << 40).levels(), 5);
+}
+
+TEST(PageTableTest, SparseSlotsReadBackAndVisitInIndexOrder) {
+  const uint64_t pages = uint64_t{1} << 40;
+  PageTable<uint64_t> table(pages);
+  EXPECT_TRUE(table.empty());
+  const std::vector<uint64_t> written = {pages - 1, 0, 513, uint64_t{1} << 30, 7};
+  for (uint64_t i : written) {
+    table.Set(i, i + 1);
+  }
+  EXPECT_EQ(table.Get(0), 1u);
+  EXPECT_EQ(table.Get(pages - 1), pages);
+  EXPECT_EQ(table.Get(1), 0u);                  // written leaf, unwritten slot
+  EXPECT_EQ(table.Get(uint64_t{1} << 20), 0u);  // no node below it
+  EXPECT_EQ(table.Get(pages), 0u);              // out of range
+  EXPECT_THROW(table.Set(pages, 1), sim::CheckFailure);
+
+  std::vector<uint64_t> visited;
+  table.ForEach([&](uint64_t i, uint64_t value) {
+    EXPECT_EQ(value, i + 1);
+    visited.push_back(i);
+  });
+  EXPECT_EQ(visited, (std::vector<uint64_t>{0, 7, 513, uint64_t{1} << 30, pages - 1}));
+  EXPECT_FALSE(table.empty());
+  for (uint64_t i : written) {
+    table.Set(i, 0);
+  }
+  EXPECT_TRUE(table.empty());
+
+  PageTable<uint8_t> small(3);  // one leaf of exactly three slots
+  small.Set(2, 1);
+  EXPECT_THROW(small.Set(3, 1), sim::CheckFailure);
+  visited.clear();
+  small.ForEach([&](uint64_t i, uint8_t) { visited.push_back(i); });
+  EXPECT_EQ(visited, (std::vector<uint64_t>{2}));
+}
+
 // ---------------------------------------------------------------- VmObject / VmMap
 
 TEST(VmObjectTest, InsertLookupRemove) {
@@ -138,6 +185,7 @@ TEST(VmObjectTest, InsertLookupRemove) {
   obj.InsertPage(&page, 2 * kPageSize);
   EXPECT_EQ(obj.Lookup(2 * kPageSize), &page);
   EXPECT_EQ(obj.Lookup(3 * kPageSize), nullptr);
+  EXPECT_EQ(obj.Lookup(10 * kPageSize), nullptr);  // beyond the object
   EXPECT_EQ(page.object, &obj);
   obj.RemovePage(&page);
   EXPECT_EQ(obj.Lookup(2 * kPageSize), nullptr);
@@ -152,6 +200,8 @@ TEST(VmObjectTest, DiskReadDecision) {
   anon.MarkPagedOut(kPageSize);
   EXPECT_TRUE(anon.NeedsDiskRead(kPageSize));
   EXPECT_FALSE(anon.NeedsDiskRead(0));
+  EXPECT_FALSE(anon.NeedsDiskRead(4 * kPageSize));  // beyond the object
+  EXPECT_THROW(anon.MarkPagedOut(4 * kPageSize), sim::CheckFailure);
   EXPECT_EQ(file.BlockFor(2 * kPageSize), 102u);
 }
 
@@ -160,6 +210,20 @@ TEST(VmObjectTest, DoubleInsertThrows) {
   VmPage a, b;
   obj.InsertPage(&a, 0);
   EXPECT_THROW(obj.InsertPage(&b, 0), sim::CheckFailure);
+}
+
+TEST(VmObjectTest, ForEachResidentVisitsInOffsetOrder) {
+  VmObject obj(1, "o", 1024 * kPageSize, false, 0);
+  VmPage pages[3];
+  obj.InsertPage(&pages[0], 900 * kPageSize);
+  obj.InsertPage(&pages[1], 3 * kPageSize);
+  obj.InsertPage(&pages[2], 512 * kPageSize);
+  std::vector<uint64_t> offsets;
+  obj.ForEachResident([&](uint64_t offset, VmPage* page) {
+    EXPECT_EQ(page->offset, offset);
+    offsets.push_back(offset / kPageSize);
+  });
+  EXPECT_EQ(offsets, (std::vector<uint64_t>{3, 512, 900}));
 }
 
 TEST(VmMapTest, LookupFindsContainingEntry) {
@@ -199,13 +263,28 @@ TEST(VmMapTest, RemoveReturnsEntry) {
   EXPECT_EQ(map.Lookup(start), nullptr);
 }
 
+TEST(VmMapTest, RemoveWithAPageStillMappedThrows) {
+  Task task(1, "t");
+  VmObject obj(1, "o", 4 * kPageSize, false, 0);
+  uint64_t start = task.map().Insert(&obj, 0, 4 * kPageSize);
+  Pmap pmap;
+  VmPage page;
+  pmap.Enter(&task, task.map().Lookup(start), start + kPageSize, &page);
+  EXPECT_THROW(task.map().Remove(start), sim::CheckFailure);
+  pmap.RemovePage(&page);
+  task.map().Remove(start);
+  EXPECT_EQ(task.map().entry_count(), 0u);
+}
+
 // ---------------------------------------------------------------- Pmap
 
 TEST(PmapTest, EnterLookupRemove) {
   Pmap pmap;
   Task task(1, "t");
+  VmObject obj(1, "o", kPageSize, false, 0);
+  task.map().InsertAt(0x10000, &obj, 0, kPageSize);
   VmPage page;
-  pmap.Enter(&task, 0x10000, &page, false);
+  pmap.Enter(&task, task.map().Lookup(0x10000), 0x10000, &page);
   EXPECT_EQ(pmap.Lookup(&task, 0x10000), &page);
   EXPECT_EQ(pmap.Lookup(&task, 0x10000 + 5), &page);  // same page
   EXPECT_EQ(pmap.Lookup(&task, 0x20000), nullptr);
@@ -219,33 +298,25 @@ TEST(PmapTest, EnterLookupRemove) {
 TEST(PmapTest, SingleMappingEnforced) {
   Pmap pmap;
   Task t1(1, "a"), t2(2, "b");
+  VmObject o1(1, "o1", kPageSize, false, 0), o2(2, "o2", kPageSize, false, 0);
+  t1.map().InsertAt(0x1000, &o1, 0, kPageSize);
+  t2.map().InsertAt(0x2000, &o2, 0, kPageSize);
   VmPage page;
-  pmap.Enter(&t1, 0x1000, &page, false);
-  EXPECT_THROW(pmap.Enter(&t2, 0x2000, &page, false), sim::CheckFailure);
+  pmap.Enter(&t1, t1.map().Lookup(0x1000), 0x1000, &page);
+  EXPECT_THROW(pmap.Enter(&t2, t2.map().Lookup(0x2000), 0x2000, &page), sim::CheckFailure);
 }
 
 TEST(PmapTest, WriteProtectionRecorded) {
   Pmap pmap;
   Task task(1, "t");
+  VmObject ro(1, "ro", kPageSize, false, 0), rw_obj(2, "rw", kPageSize, false, 0);
+  task.map().InsertAt(0x1000, &ro, 0, kPageSize, /*write_protected=*/true);
+  task.map().InsertAt(0x2000, &rw_obj, 0, kPageSize, /*write_protected=*/false);
   VmPage page, rw;
-  pmap.Enter(&task, 0x1000, &page, /*write_protected=*/true);
-  pmap.Enter(&task, 0x2000, &rw, /*write_protected=*/false);
+  pmap.Enter(&task, task.map().Lookup(0x1000), 0x1000, &page);
+  pmap.Enter(&task, task.map().Lookup(0x2000), 0x2000, &rw);
   EXPECT_TRUE(pmap.IsWriteProtected(&page));
   EXPECT_FALSE(pmap.IsWriteProtected(&rw));
-}
-
-TEST(PmapTest, RemoveTaskClearsAll) {
-  Pmap pmap;
-  Task task(1, "t");
-  VmPage pages[3];
-  for (int i = 0; i < 3; ++i) {
-    pmap.Enter(&task, 0x1000 * (static_cast<uint64_t>(i) + 1), &pages[i], false);
-  }
-  pmap.RemoveTask(&task);
-  EXPECT_EQ(pmap.mapping_count(), 0u);
-  for (auto& p : pages) {
-    EXPECT_FALSE(p.has_mapping);
-  }
 }
 
 // ---------------------------------------------------------------- Kernel fault path

@@ -138,12 +138,12 @@ TEST(ScenarioTest, ChurnSurvivesDeparturesAndTeardown) {
   ASSERT_NE(torn, nullptr);
   EXPECT_TRUE(torn->torn_down);
   EXPECT_FALSE(torn->completed);
-  for (const std::string& name : {"churn-0", "churn-1", "churn-3"}) {
+  for (const char* name : {"churn-0", "churn-1", "churn-3"}) {
     const TenantResult* t = FindTenant(result, name);
     ASSERT_NE(t, nullptr) << name;
     EXPECT_TRUE(t->terminated) << name;  // departed on schedule
   }
-  for (const std::string& name : {"late-0", "late-1"}) {
+  for (const char* name : {"late-0", "late-1"}) {
     const TenantResult* t = FindTenant(result, name);
     ASSERT_NE(t, nullptr) << name;
     EXPECT_TRUE(t->admitted) << name;
