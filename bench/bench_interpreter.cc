@@ -3,11 +3,9 @@
 // the pseudo-code translator. These measure the *reproduction's* performance, not the
 // paper's virtual-time results (those live in bench_table*/bench_figure*).
 //
-// The executor benchmarks run under both dispatch modes so the decode-once IR interpreter can
-// be compared against the retained pre-refactor switch interpreter on the same workload.
-// After the google-benchmark tables, main() emits one JSON object per line summarizing
-// interpretation throughput (commands/sec, ns/command) per mode — grep for lines starting
-// with '{' to consume them from scripts.
+// The executor benchmarks run the production IR interpreter. After the google-benchmark
+// tables, main() emits one JSON object per line summarizing interpretation throughput
+// (commands/sec, ns/command) — grep for lines starting with '{' to consume them from scripts.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -51,7 +49,7 @@ void BM_PageQueueChurn(benchmark::State& state) {
 BENCHMARK(BM_PageQueueChurn);
 
 // One full PageFault-event interpretation (free-list fast path) per iteration.
-void RunExecutorSimpleFault(benchmark::State& state, core::DispatchMode mode) {
+void BM_ExecutorSimpleFault_Ir(benchmark::State& state) {
   mach::KernelParams params;
   params.hipec_build = true;
   mach::Kernel kernel(params);
@@ -64,7 +62,7 @@ void RunExecutorSimpleFault(benchmark::State& state, core::DispatchMode mode) {
                              policies::FifoPolicy(policies::CommandStyle::kSimple), options);
   core::Container* container = region.container;
   core::PolicyExecutor& executor = engine.executor();
-  executor.set_dispatch_mode(mode);
+  executor.set_dispatch_mode(core::DispatchMode::kDecodedIr);
   for (auto _ : state) {
     core::ExecResult result = executor.ExecuteEvent(container, core::kEventPageFault);
     // Put the page back so the free list never drains.
@@ -75,16 +73,7 @@ void RunExecutorSimpleFault(benchmark::State& state, core::DispatchMode mode) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-
-void BM_ExecutorSimpleFault_Ir(benchmark::State& state) {
-  RunExecutorSimpleFault(state, core::DispatchMode::kDecodedIr);
-}
 BENCHMARK(BM_ExecutorSimpleFault_Ir);
-
-void BM_ExecutorSimpleFault_Switch(benchmark::State& state) {
-  RunExecutorSimpleFault(state, core::DispatchMode::kReferenceSwitch);
-}
-BENCHMARK(BM_ExecutorSimpleFault_Switch);
 
 // The sustained-throughput workload: a 100-iteration compare/branch/arithmetic loop per
 // event (~400 commands). Shared by the google-benchmark cases and the JSON summary below.
@@ -110,13 +99,13 @@ core::PolicyProgram ArithLoopProgram() {
 }
 
 // Sustained interpretation throughput; items = HiPEC commands interpreted.
-void RunExecutorArithLoop(benchmark::State& state, core::DispatchMode mode) {
+void BM_ExecutorArithLoop_Ir(benchmark::State& state) {
   mach::KernelParams params;
   params.hipec_build = true;
   mach::Kernel kernel(params);
   core::GlobalFrameManager manager(&kernel, {});
   core::PolicyExecutor executor(&kernel, &manager);
-  executor.set_dispatch_mode(mode);
+  executor.set_dispatch_mode(core::DispatchMode::kDecodedIr);
 
   mach::Task* task = kernel.CreateTask("bench");
   mach::VmObject* object = kernel.CreateAnonObject(4 * kPageSize);
@@ -130,16 +119,7 @@ void RunExecutorArithLoop(benchmark::State& state, core::DispatchMode mode) {
   }
   state.SetItemsProcessed(commands);
 }
-
-void BM_ExecutorArithLoop_Ir(benchmark::State& state) {
-  RunExecutorArithLoop(state, core::DispatchMode::kDecodedIr);
-}
 BENCHMARK(BM_ExecutorArithLoop_Ir);
-
-void BM_ExecutorArithLoop_Switch(benchmark::State& state) {
-  RunExecutorArithLoop(state, core::DispatchMode::kReferenceSwitch);
-}
-BENCHMARK(BM_ExecutorArithLoop_Switch);
 
 void BM_TranslatorCompile(benchmark::State& state) {
   const std::string source = R"(
@@ -179,13 +159,13 @@ void BM_KernelTouchTlbHit(benchmark::State& state) {
 BENCHMARK(BM_KernelTouchTlbHit);
 
 // Direct (host-clock) measurement of the arith-loop workload for the JSON summary.
-double MeasureCommandsPerSec(core::DispatchMode mode) {
+double MeasureCommandsPerSec() {
   mach::KernelParams params;
   params.hipec_build = true;
   mach::Kernel kernel(params);
   core::GlobalFrameManager manager(&kernel, {});
   core::PolicyExecutor executor(&kernel, &manager);
-  executor.set_dispatch_mode(mode);
+  executor.set_dispatch_mode(core::DispatchMode::kDecodedIr);
 
   mach::Task* task = kernel.CreateTask("bench");
   mach::VmObject* object = kernel.CreateAnonObject(4 * kPageSize);
@@ -205,21 +185,14 @@ double MeasureCommandsPerSec(core::DispatchMode mode) {
   return static_cast<double>(commands) / elapsed.count();
 }
 
-const char* ModeName(core::DispatchMode mode) {
-  return mode == core::DispatchMode::kDecodedIr ? "decoded_ir" : "reference_switch";
-}
-
 void EmitJsonSummary() {
-  bench::JsonLine json;
-  for (core::DispatchMode mode :
-       {core::DispatchMode::kDecodedIr, core::DispatchMode::kReferenceSwitch}) {
-    double cps = MeasureCommandsPerSec(mode);
-    json.Str("bench", "executor_arith_loop")
-        .Str("mode", ModeName(mode))
-        .Num("commands_per_sec", cps, 0)
-        .Num("ns_per_command", 1e9 / cps)
-        .Emit();
-  }
+  double cps = MeasureCommandsPerSec();
+  bench::JsonLine()
+      .Str("bench", "executor_arith_loop")
+      .Str("mode", "decoded_ir")
+      .Num("commands_per_sec", cps, 0)
+      .Num("ns_per_command", 1e9 / cps)
+      .Emit();
 }
 
 }  // namespace

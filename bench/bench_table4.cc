@@ -3,7 +3,7 @@
 //
 // Paper values: null system call 19 us; null IPC 292 us; simple HiPEC page-fault overhead
 // ~150 ns (the fetch+decode of the Comp, DeQueue, Return commands on the free-list path).
-#include <chrono>
+// Every line is virtual time, so the output is byte-identical run to run and across JIT modes.
 #include <cstdio>
 
 #include "bench_util.h"
@@ -51,44 +51,6 @@ sim::Nanos MeasureSimpleFaultDecode() {
   return commands * kernel.costs().command_decode_ns;
 }
 
-// Host-side (wall-clock) cost of interpreting one HiPEC command, measured on the free-list
-// fast path under the given dispatch mode. This is the reproduction's own decode/dispatch
-// overhead — the before/after of the decode-once refactor — not a virtual-time quantity.
-double MeasureHostNsPerCommand(core::DispatchMode mode) {
-  mach::KernelParams params;
-  params.hipec_build = true;
-  mach::Kernel kernel(params);
-  core::HipecEngine engine(&kernel);
-  mach::Task* task = kernel.CreateTask("t");
-  core::HipecOptions options;
-  options.min_frames = 16;
-  core::HipecRegion region =
-      engine.VmAllocateHipec(task, 32 * kPageSize,
-                             policies::FifoPolicy(policies::CommandStyle::kSimple), options);
-  core::Container* container = region.container;
-  core::PolicyExecutor& executor = engine.executor();
-  executor.set_dispatch_mode(mode);
-
-  auto run_one = [&] {
-    core::ExecResult result = executor.ExecuteEvent(container, core::kEventPageFault);
-    mach::VmPage* page = container->operands().ReadPage(result.return_operand);
-    container->free_q().EnqueueTail(page, 0);  // keep the free list from draining
-    container->operands().WritePage(result.return_operand, nullptr);
-    return result.commands_executed;
-  };
-  for (int i = 0; i < 20'000; ++i) {
-    run_one();
-  }
-  constexpr int kEvents = 500'000;
-  int64_t commands = 0;
-  auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < kEvents; ++i) {
-    commands += run_one();
-  }
-  std::chrono::duration<double, std::nano> elapsed = std::chrono::steady_clock::now() - start;
-  return elapsed.count() / static_cast<double>(commands);
-}
-
 }  // namespace
 
 int main() {
@@ -119,12 +81,5 @@ int main() {
               sim::FormatNanos(costs.IpcDecisionNs()).c_str());
   bench::Note("\nExpected shape: HiPEC interpretation is 2-3 orders of magnitude cheaper than"
               "\neither crossing technique.");
-
-  std::printf("\nHost-side interpretation cost per command (decode-once refactor):\n");
-  double after = MeasureHostNsPerCommand(core::DispatchMode::kDecodedIr);
-  double before = MeasureHostNsPerCommand(core::DispatchMode::kReferenceSwitch);
-  std::printf("  before (decode-per-event switch):    %.2f ns/command\n", before);
-  std::printf("  after  (decoded-IR dispatch table):  %.2f ns/command (%.2fx)\n", after,
-              before / after);
   return 0;
 }

@@ -64,6 +64,14 @@ void HipecEngine::EnableConcurrent() {
 HipecEngine::~HipecEngine() {
   checker_.Stop();
   kernel_->SetFaultInterceptor(nullptr);
+  // Regions still mapped when the engine goes away lose their specific control: tear their
+  // containers down as region teardown would, so no container (and no decoded or compiled
+  // program) outlives its zone.
+  while (!manager_.containers().empty()) {
+    Container* container = manager_.containers().back();
+    sim::ScopedLock task_lock(container->task()->mutex());
+    TearDown(container);
+  }
 }
 
 void SetupStandardOperands(Container* container, const HipecOptions& options) {
@@ -320,8 +328,12 @@ void HipecEngine::OnRegionTeardown(mach::Task* task, mach::VmMapEntry* entry) {
   (void)task;
   auto* container = static_cast<Container*>(entry->object->container);
   HIPEC_CHECK(container != nullptr);
+  TearDown(container);
+}
+
+void HipecEngine::TearDown(Container* container) {
   manager_.RemoveContainer(container);
-  entry->object->container = nullptr;
+  container->object()->container = nullptr;
   container_zone_.Free(container);
   counters_.Add(kCtrTeardowns);
 }

@@ -114,6 +114,9 @@ class HipecEngine final : public mach::FaultInterceptor {
   bool AccountingConsistent(Container* container) const;
   // Runs the strict pass if enabled; terminates the offender and returns false on a leak.
   bool EnforceAccounting(Container* container);
+  // Returns the container's frames to the pool, detaches it from its object and frees it.
+  // The caller holds the container's task lock.
+  void TearDown(Container* container);
 
   mach::Kernel* kernel_;
   // Serializes registrations (container id assignment, static validation, admission). Rank

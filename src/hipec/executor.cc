@@ -11,8 +11,9 @@ namespace {
 // Internal signal: the security checker asked for this execution to die.
 struct TimeoutSignal {};
 
-// The dispatch loop (dispatch_loop.inc) has a case and a jump-table entry per DispatchKind;
-// this fires when someone grows the IR without teaching the interpreter the new kind.
+// The dispatch loop (dispatch_loop.inc) has a handler and a jump-table entry per
+// DispatchKind; this fires when someone grows the IR without teaching the interpreter the
+// new kind.
 static_assert(kDispatchKindCount == 57,
               "new DispatchKind: add a handler (and jump-table entry) to dispatch_loop.inc "
               "and update this tripwire");
@@ -35,22 +36,6 @@ const sim::CounterId kCtrJitFallbacks = sim::InternCounter("executor.jit_fallbac
 const obs::ProbeId kPrbEventNs = obs::InternProbe("executor.event_ns");
 const obs::ProbeId kPrbEventCommands = obs::InternProbe("executor.event_commands");
 
-// Integer load from a decode-classified slot (kInt or kQueueCount — the only two kinds the
-// decoder accepts where an integer is read).
-inline int64_t LoadInt(const OperandEntry& e) {
-  return e.type == OperandType::kQueueCount ? static_cast<int64_t>(e.queue->count())
-                                            : e.int_value;
-}
-
-// Same failure text as OperandArray::Fail, for the value checks that remain at run time.
-// snprintf into a stack buffer: raising a PolicyError must not drag stream machinery into
-// the interpreter's translation unit or allocate before the throw.
-[[noreturn]] void FailOperand(uint8_t index, const char* message) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "operand 0x%x: %s", index, message);
-  throw PolicyError(buf);
-}
-
 // Arith's add, sub and mul wrap in two's complement, as the JIT's native add/sub/imul do;
 // computed through uint64_t so overflow is defined behavior on every path.
 inline int64_t WrapAdd(int64_t a, int64_t b) {
@@ -66,15 +51,19 @@ inline int64_t WrapMul(int64_t a, int64_t b) {
 // AgeScores packs the policy value above the pass position: word = value * 1024 + position.
 constexpr int64_t kAgePositionBase = 1024;
 
-// The decoder proved the slot is a page variable; emptiness is a run-time property.
-inline mach::VmPage* RequirePage(uint8_t index, const OperandEntry& e) {
-  if (e.page == nullptr) [[unlikely]] {
-    FailOperand(index, "page variable is empty");
-  }
-  return e.page;
-}
+// A command kernel's run-time check failed. Out of line, so the kernels stay small enough
+// for the IR loop to inline.
+[[noreturn]] void FailCommand(const char* message) { throw PolicyError(message); }
 
 }  // namespace
+
+// snprintf into a stack buffer: raising a PolicyError must not drag stream machinery into the
+// interpreter's translation unit or allocate before the throw.
+void FailOperand(uint8_t index, const char* message) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf), "operand 0x%x: %s", index, message);
+  throw PolicyError(buf);
+}
 
 // Saturating arithmetic, written against unsigned wraparound (well-defined) plus explicit
 // overflow detection so it compiles cleanly under UBSan on every supported compiler.
@@ -115,9 +104,140 @@ int64_t SatDotSlots(const OperandEntry* slots, uint8_t base, int n) {
   return acc;
 }
 
+// ----------------------------------------------------------------------------------------
+// Command kernels (executor.h). Defined here, beside the IR loop, so its handlers can inline
+// them (GCC 12 at -O3 inlines all but Find); the JIT bridges call the out-of-line copies.
+// ----------------------------------------------------------------------------------------
+
+void DeQueueCommand(OperandEntry& dst, mach::PageQueue* queue, bool tail) {
+  mach::VmPage* page = tail ? queue->DequeueTail() : queue->DequeueHead();
+  if (page == nullptr) {
+    FailCommand("DeQueue from an empty queue (guard with EmptyQ or a count)");
+  }
+  dst.page = page;
+}
+
+void EnQueueCommand(Container* c, uint8_t index, const OperandEntry& var,
+                    mach::PageQueue* queue, bool tail, sim::Nanos now) {
+  mach::VmPage* page = RequirePage(index, var);
+  if (page->owner != c) {
+    FailCommand("EnQueue of a frame the application does not own");
+  }
+  if (page->queue != nullptr) {
+    FailCommand("EnQueue of a page that is already on a queue");
+  }
+  if (tail) {
+    queue->EnqueueTail(page, now);
+  } else {
+    queue->EnqueueHead(page, now);
+  }
+}
+
+bool RequestCommand(GlobalFrameManager* manager, Container* c, int64_t n,
+                    mach::PageQueue* dest) {
+  if (n < 0) {
+    FailCommand("Request: negative size");
+  }
+  return manager->RequestFrames(c, static_cast<size_t>(n), dest);
+}
+
+bool ReleaseQueueCommand(GlobalFrameManager* manager, Container* c, mach::PageQueue* queue) {
+  mach::VmPage* page = queue->DequeueHead();
+  if (page == nullptr) {
+    return false;
+  }
+  manager->ReleaseFrame(c, page);
+  return true;
+}
+
+bool ReleasePageCommand(GlobalFrameManager* manager, Container* c, OperandEntry& var) {
+  mach::VmPage* page = var.page;
+  if (page == nullptr) {
+    return false;  // an empty variable is not an error: the condition just stays false
+  }
+  if (page->owner != c) {
+    FailCommand("Release of a frame the application does not own");
+  }
+  if (page->queue != nullptr) {
+    FailCommand("Release of a page still on a queue (DeQueue it first)");
+  }
+  manager->ReleaseFrame(c, page);
+  var.page = nullptr;
+  return true;
+}
+
+bool FlushCommand(GlobalFrameManager* manager, Container* c, uint8_t index, OperandEntry& var) {
+  mach::VmPage* page = RequirePage(index, var);
+  if (page->owner != c) {
+    FailCommand("Flush of a frame the application does not own");
+  }
+  if (page->queue != nullptr) {
+    FailCommand("Flush of a page still on a queue (DeQueue it first)");
+  }
+  var.page = manager->FlushExchange(c, page);
+  return true;
+}
+
+bool FindCommand(Container* c, OperandEntry& dst, int64_t vaddr) {
+  const auto addr = static_cast<uint64_t>(vaddr);
+  mach::VmMapEntry* entry = c->task()->map().Lookup(addr);
+  mach::VmPage* page = nullptr;
+  if (entry != nullptr && entry->object == c->object()) {
+    page = c->object()->Lookup(entry->OffsetOf(addr));
+  }
+  dst.page = page;
+  return page != nullptr && page->owner == c;
+}
+
+bool MigrateCommand(GlobalFrameManager* manager, Container* c, uint8_t index,
+                    OperandEntry& var, int64_t target) {
+  mach::VmPage* page = RequirePage(index, var);
+  if (page->owner != c) {
+    FailCommand("Migrate of a frame the application does not own");
+  }
+  if (page->queue != nullptr) {
+    FailCommand("Migrate of a page still on a queue (DeQueue it first)");
+  }
+  if (!manager->MigrateFrame(c, page, static_cast<uint64_t>(target))) {
+    return false;
+  }
+  var.page = nullptr;
+  return true;
+}
+
+void UnlinkCommand(Container* c, uint8_t index, const OperandEntry& var) {
+  mach::VmPage* page = RequirePage(index, var);
+  if (page->owner != c) {
+    FailCommand("Unlink of a frame the application does not own");
+  }
+  if (page->queue == nullptr) {
+    FailCommand("Unlink of a page that is not on a queue");
+  }
+  page->queue.load()->Remove(page);
+}
+
+mach::VmPage* SelectVictim(mach::PageQueue* queue, Opcode policy) {
+  if (queue->empty()) {
+    FailCommand("replacement-policy command on an empty queue");
+  }
+  if (policy == Opcode::kFifo) {
+    return queue->DequeueHead();  // arrival order: the head is the oldest
+  }
+  mach::VmPage* best = queue->head();
+  for (mach::VmPage* p = best->q_next; p != nullptr; p = p->q_next) {
+    // LRU keeps the first of equal stamps (`<`), MRU the last (`>=`).
+    if (policy == Opcode::kLru ? p->last_reference_ns < best->last_reference_ns
+                               : p->last_reference_ns >= best->last_reference_ns) {
+      best = p;
+    }
+  }
+  queue->Remove(best);
+  return best;
+}
+
 mach::VmPage* SelectByWord(mach::PageQueue* queue, bool want_max) {
   if (queue->empty()) {
-    throw PolicyError("replacement-policy command on an empty queue");
+    FailCommand("replacement-policy command on an empty queue");
   }
   mach::VmPage* best = queue->head();
   for (mach::VmPage* p = best->q_next; p != nullptr; p = p->q_next) {
@@ -262,38 +382,14 @@ ExecResult PolicyExecutor::ExecuteEvent(Container* container, int event) {
 }
 
 // ----------------------------------------------------------------------------------------
-// Production path: table-driven dispatch over the decode-once IR. Per command: one trap
-// check, the checker/backstop guards, the decode-cost charge, and a single dense dispatch;
-// operator decode, operand classification and branch bounds checks all happened at install
-// time, and the fusion pass folded hot adjacent pairs into superinstructions.
-//
-// The loop body lives in dispatch_loop.inc and is instantiated twice: a portable dense
-// switch, and (on GNU-compatible compilers) a computed-goto "threaded" loop whose per-handler
-// indirect branches give the predictor one history slot per command kind.
+// Production path: computed-goto dispatch over the decode-once IR. Per command: one trap
+// check, the checker/backstop guards, the decode-cost charge, and one indirect jump through
+// the handler table; operator decode, operand classification and branch bounds checks all
+// happened at install time, and the fusion pass folded hot adjacent pairs into
+// superinstructions. The loop body lives in dispatch_loop.inc.
 // ----------------------------------------------------------------------------------------
 
-#define HIPEC_DISPATCH_NAME RunEventIrSwitch
-#define HIPEC_DISPATCH_THREADED 0
 #include "hipec/dispatch_loop.inc"  // NOLINT(build/include)
-#undef HIPEC_DISPATCH_NAME
-#undef HIPEC_DISPATCH_THREADED
-
-#if defined(__GNUC__)
-#define HIPEC_DISPATCH_NAME RunEventIrThreaded
-#define HIPEC_DISPATCH_THREADED 1
-#include "hipec/dispatch_loop.inc"  // NOLINT(build/include)
-#undef HIPEC_DISPATCH_NAME
-#undef HIPEC_DISPATCH_THREADED
-#endif
-
-uint8_t PolicyExecutor::RunEventIr(Container* c, int event, int depth, int64_t* budget) {
-#if defined(__GNUC__)
-  if (threaded_dispatch_) {
-    return RunEventIrThreaded(c, event, depth, budget);
-  }
-#endif
-  return RunEventIrSwitch(c, event, depth, budget);
-}
 
 // ----------------------------------------------------------------------------------------
 // JIT path: runs install-time-compiled native code (jit.h), falling back to the IR
@@ -374,8 +470,9 @@ uint8_t PolicyExecutor::RunEventJit(Container* c, int event, int depth, int64_t*
 
 // ----------------------------------------------------------------------------------------
 // Reference path: the pre-IR interpreter that re-decodes each raw word and re-classifies
-// operands on every event. Kept only so the dual-path tests and the before/after benchmarks
-// can compare it against the IR interpreter; scheduled for deletion after the transition.
+// operands on every event, through the typed OperandArray accessors. It is the oracle the
+// dual-path tests check the IR loop and the JIT against, so its stateful commands keep
+// bodies of their own rather than calling the command kernels.
 // ----------------------------------------------------------------------------------------
 
 uint8_t PolicyExecutor::RunEventSwitch(Container* c, int event, int depth, int64_t* budget) {
@@ -794,43 +891,7 @@ void PolicyExecutor::DoPageWord(Container* c, const Instruction& inst) {
 }
 
 void PolicyExecutor::DoReplacementPolicy(Container* c, const Instruction& inst) {
-  mach::PageQueue* queue = c->operands().ReadQueue(inst.op1);
-  if (queue->empty()) {
-    throw PolicyError("replacement-policy command on an empty queue");
-  }
-  mach::VmPage* victim = nullptr;
-  switch (inst.op) {
-    case Opcode::kFifo:
-      // Arrival order: the head is the oldest.
-      victim = queue->DequeueHead();
-      break;
-    case Opcode::kLru: {
-      mach::VmPage* best = nullptr;
-      queue->ForEach([&](mach::VmPage* p) {
-        if (best == nullptr || p->last_reference_ns < best->last_reference_ns) {
-          best = p;
-        }
-        return true;
-      });
-      queue->Remove(best);
-      victim = best;
-      break;
-    }
-    case Opcode::kMru: {
-      mach::VmPage* best = nullptr;
-      queue->ForEach([&](mach::VmPage* p) {
-        if (best == nullptr || p->last_reference_ns >= best->last_reference_ns) {
-          best = p;
-        }
-        return true;
-      });
-      queue->Remove(best);
-      victim = best;
-      break;
-    }
-    default:
-      throw PolicyError("not a replacement-policy command");
-  }
+  mach::VmPage* victim = SelectVictim(c->operands().ReadQueue(inst.op1), inst.op);
   c->operands().WritePage(inst.op2, victim);
   counters_.Add(kCtrPolicyCommands);
 }

@@ -3,13 +3,13 @@
 // kernel mode, with no kernel/user crossing. Per command it charges only the fetch+decode
 // cost (Table 4: ~50 ns each).
 //
-// Since the decode-once refactor the hot path is table-driven dispatch over the DecodedProgram
-// IR (decoded.h): raw words were classified and bounds-checked when the policy was installed,
-// so the interpreter does no per-event decoding, no operand re-classification, and no
-// per-iteration bounds check (control that leaves the stream lands on a trap slot). The
-// pre-IR switch interpreter is retained as a selectable reference path so every policy can be
-// run against both implementations and their command-by-command traces compared; it will be
-// deleted once the transition window closes.
+// The hot path is table-driven dispatch over the DecodedProgram IR (decoded.h): raw words were
+// classified and bounds-checked when the policy was installed, so the interpreter does no
+// per-event decoding, no operand re-classification, and no per-iteration bounds check
+// (control that leaves the stream lands on a trap slot). The pre-IR switch interpreter is
+// kept as the reference oracle: it re-decodes every word and has its own command bodies, so
+// the dual-path tests can check the IR loop and the JIT against independent code, trace by
+// trace.
 //
 // At the start of every event the executor writes a timestamp into the container; the
 // security checker uses it to detect runaway policies. The container's CC (command counter)
@@ -49,8 +49,8 @@ struct ExecResult {
 };
 
 // Which engine runs the policy. kDecodedIr is the interpreter production path;
-// kReferenceSwitch is the pre-IR decode-per-event loop kept for dual-path equivalence testing
-// and before/after benchmarking; kJit runs install-time-compiled native code (jit.h) and
+// kReferenceSwitch is the pre-IR decode-per-event loop, the oracle of the dual-path
+// equivalence tests; kJit runs install-time-compiled native code (jit.h) and
 // falls back to kDecodedIr per event when no compiled code exists (unsupported host, masked
 // kind, compile failure) — the fallbacks are counted in executor.jit_fallbacks.
 enum class DispatchMode {
@@ -71,6 +71,25 @@ struct ExecTrace {
   bool operator==(const ExecTrace&) const = default;
 };
 
+// Run-time operand helpers shared by the IR loop and the JIT bridges.
+//
+// Integer load from a decode-classified slot (kInt or kQueueCount — the only two kinds the
+// decoder accepts where an integer is read).
+inline int64_t LoadInt(const OperandEntry& e) {
+  return e.type == OperandType::kQueueCount ? static_cast<int64_t>(e.queue->count())
+                                            : e.int_value;
+}
+// Raises a PolicyError with OperandArray::Fail's text, for the value checks that remain at
+// run time. Formats into a stack buffer: raising must not allocate before the throw.
+[[noreturn]] void FailOperand(uint8_t index, const char* message);
+// The decoder proved the slot is a page variable; emptiness is a run-time property.
+inline mach::VmPage* RequirePage(uint8_t index, const OperandEntry& e) {
+  if (e.page == nullptr) [[unlikely]] {
+    FailOperand(index, "page variable is empty");
+  }
+  return e.page;
+}
+
 // Saturating 64-bit arithmetic used by the SatDotProduct command. One definition shared by
 // the IR interpreter, the reference interpreter and the JIT bridge, so the three paths
 // cannot drift at the overflow boundaries the differential suite probes.
@@ -81,9 +100,46 @@ int64_t SatMul64(int64_t a, int64_t b);
 // integer and the range stays inside the 256-entry array.
 int64_t SatDotSlots(const OperandEntry* slots, uint8_t base, int n);
 
-// The rank/score complex-command kernels, shared by the IR interpreter, the reference
-// interpreter and the JIT bridges like SatDotSlots. Callers charge the complex-command cost.
+// The command kernels: one production definition per stateful command, holding its run-time
+// checks, its exact error text and its state change. The IR loop (which shares this
+// translation unit and inlines them) and the JIT bridges call these; the reference
+// interpreter keeps its own bodies so the dual-path tests compare independent code. Page
+// variables are passed as (operand index, slot) so the empty-variable error names the
+// operand. Kernels of condition-setting commands return the new condition flag.
 //
+// DeQueue: removes the head (or tail) of `queue` into page variable `dst`.
+void DeQueueCommand(OperandEntry& dst, mach::PageQueue* queue, bool tail);
+// EnQueue: links page variable `index` at the head (or tail) of `queue`, stamped `now`. The
+// page must be `c`'s and on no queue.
+void EnQueueCommand(Container* c, uint8_t index, const OperandEntry& var,
+                    mach::PageQueue* queue, bool tail, sim::Nanos now);
+// Request: asks the frame manager for `n` more frames onto `dest`, all or nothing.
+bool RequestCommand(GlobalFrameManager* manager, Container* c, int64_t n,
+                    mach::PageQueue* dest);
+// Release, queue form: gives the head of `queue` back to the global pool; false when empty.
+bool ReleaseQueueCommand(GlobalFrameManager* manager, Container* c, mach::PageQueue* queue);
+// Release, page form: gives page variable `var` back and empties it; false when it is empty.
+bool ReleasePageCommand(GlobalFrameManager* manager, Container* c, OperandEntry& var);
+// Flush: hands the off-queue page variable `index` to the manager's write-back and stores the
+// clean frame it returns in exchange (FlushExchange); always true.
+bool FlushCommand(GlobalFrameManager* manager, Container* c, uint8_t index, OperandEntry& var);
+// Find: loads the resident page at `vaddr` of c's region into `dst`; true iff it is c's.
+bool FindCommand(Container* c, OperandEntry& dst, int64_t vaddr);
+// Migrate: hands the off-queue page variable `index` to container `target`, emptying the
+// variable on success.
+bool MigrateCommand(GlobalFrameManager* manager, Container* c, uint8_t index,
+                    OperandEntry& var, int64_t target);
+// Unlink: removes page variable `index` from whichever of c's queues holds it.
+void UnlinkCommand(Container* c, uint8_t index, const OperandEntry& var);
+
+// The complex-command kernels: Table 1's replacement policies and the rank/score commands.
+// Callers charge the complex-command cost; the victim selectors' callers also count
+// executor.policy_commands.
+//
+// FIFO/LRU/MRU (`policy` is kFifo, kLru or kMru): removes and returns the victim of `queue`.
+// FIFO takes the head; LRU the first page in queue order with the smallest
+// last_reference_ns; MRU the last page with the largest. Throws PolicyError on an empty queue.
+mach::VmPage* SelectVictim(mach::PageQueue* queue, Opcode policy);
 // WeightedSelect: removes and returns the page of `queue` whose user_word is smallest
 // (`want_max` false) or largest; ties keep the page nearest the head. Throws PolicyError on
 // an empty queue.
@@ -110,13 +166,6 @@ class PolicyExecutor {
   DispatchMode dispatch_mode() const { return mode_; }
   void set_dispatch_mode(DispatchMode mode) { mode_ = mode; }
 
-  // Selects the computed-goto ("threaded") IR loop. Only compiled on GNU-compatible
-  // compilers, where it is the default; elsewhere the setting is accepted and ignored and
-  // the portable dense-switch loop runs. Both loops are instantiated from the same body
-  // (dispatch_loop.inc), so behavior is identical either way.
-  bool threaded_dispatch() const { return threaded_dispatch_; }
-  void set_threaded_dispatch(bool on) { threaded_dispatch_ = on; }
-
   // Attaches (or detaches, with nullptr) a per-command trace sink. Tracing is off the hot
   // path behind a single predicted-not-taken branch.
   void set_trace_sink(std::vector<ExecTrace>* sink) { trace_ = sink; }
@@ -131,13 +180,8 @@ class PolicyExecutor {
 
  private:
   // All return the Return instruction's operand index. Depth guards Activate recursion.
-  // RunEventIr picks the IR loop variant per threaded_dispatch_; the two variants are the
-  // same body (dispatch_loop.inc) instantiated with different dispatch mechanisms.
+  // RunEventIr is the computed-goto loop over the IR (dispatch_loop.inc).
   uint8_t RunEventIr(Container* container, int event, int depth, int64_t* budget);
-  uint8_t RunEventIrSwitch(Container* container, int event, int depth, int64_t* budget);
-#if defined(__GNUC__)
-  uint8_t RunEventIrThreaded(Container* container, int event, int depth, int64_t* budget);
-#endif
   uint8_t RunEventSwitch(Container* container, int event, int depth, int64_t* budget);
   // Runs compiled code for the event if the container has any (compiling lazily on first
   // use), decoding the JitStatus back into the interpreter's control flow; falls back to
@@ -146,7 +190,8 @@ class PolicyExecutor {
 
   friend struct jit::ExecutorAccess;
 
-  // Reference-path command implementations (decode-per-event interpreter only).
+  // Reference-path command implementations (decode-per-event interpreter only). The stateful
+  // commands keep bodies of their own; the complex commands call the shared kernels.
   void DoArith(Container* c, const Instruction& inst);
   void DoWeightedSelect(Container* c, const Instruction& inst);
   void DoAgeScores(Container* c, const Instruction& inst);
@@ -170,11 +215,6 @@ class PolicyExecutor {
   // thread interprets its own container's policy; the flag is pure per-execution state.
   static thread_local bool condition_;
   DispatchMode mode_ = DispatchMode::kDecodedIr;
-#if defined(__GNUC__)
-  bool threaded_dispatch_ = true;
-#else
-  bool threaded_dispatch_ = false;
-#endif
   std::vector<ExecTrace>* trace_ = nullptr;
   sim::CounterSet counters_;
   obs::ProbeSet probes_;

@@ -15,8 +15,6 @@
 #include "hipec/frame_manager.h"
 #include "hipec/jit_internal.h"
 #include "mach/kernel.h"
-#include "mach/vm_map.h"
-#include "mach/vm_object.h"
 #include "sim/stats.h"
 
 namespace hipec::core::jit {
@@ -114,25 +112,6 @@ namespace {
 
 const sim::CounterId kCtrPolicyCommands = sim::InternCounter("executor.policy_commands");
 
-// Replicas of the interpreter's run-time helpers (executor.cc), with identical failure text.
-inline int64_t LoadInt(const OperandEntry& e) {
-  return e.type == OperandType::kQueueCount ? static_cast<int64_t>(e.queue->count())
-                                            : e.int_value;
-}
-
-[[noreturn]] void FailOperand(uint8_t index, const char* message) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "operand 0x%x: %s", index, message);
-  throw PolicyError(buf);
-}
-
-inline mach::VmPage* RequirePage(uint8_t index, const OperandEntry& e) {
-  if (e.page == nullptr) [[unlikely]] {
-    FailOperand(index, "page variable is empty");
-  }
-  return e.page;
-}
-
 // Every bridge body runs under this wrapper: no exception may unwind into the generated
 // code (it has no unwind tables), so everything is captured into JitFrame::pending and
 // surfaced as a status. The horizon is refreshed unconditionally — any bridge may have
@@ -185,141 +164,53 @@ extern "C" uint64_t HipecJitBridgeActivate(JitFrame* f, uint64_t event, uint64_t
   });
 }
 
-extern "C" uint64_t HipecJitBridgeDeq(JitFrame* f, uint64_t a, uint64_t b, uint64_t tail) {
-  return Guarded(f, [&]() -> uint64_t {
-    mach::PageQueue* queue = f->slots[b].queue;
-    mach::VmPage* page = tail != 0 ? queue->DequeueTail() : queue->DequeueHead();
-    if (page == nullptr) {
-      throw PolicyError("DeQueue from an empty queue (guard with EmptyQ or a count)");
-    }
-    f->slots[a].page = page;
-    return 0;
-  });
-}
-
+// The command bridges: each calls the command's kernel (executor.h), the definition the IR
+// loop's handlers call too, so the run-time checks and error text cannot drift between the
+// two paths.
 extern "C" uint64_t HipecJitBridgeEnq(JitFrame* f, uint64_t a, uint64_t b, uint64_t tail) {
   return Guarded(f, [&]() -> uint64_t {
-    mach::VmPage* page = RequirePage(static_cast<uint8_t>(a), f->slots[a]);
-    if (page->owner != f->container) {
-      throw PolicyError("EnQueue of a frame the application does not own");
-    }
-    if (page->queue != nullptr) {
-      throw PolicyError("EnQueue of a page that is already on a queue");
-    }
-    mach::PageQueue* queue = f->slots[b].queue;
-    if (tail != 0) {
-      queue->EnqueueTail(page, Kctx(f).now());
-    } else {
-      queue->EnqueueHead(page, Kctx(f).now());
-    }
+    EnQueueCommand(f->container, static_cast<uint8_t>(a), f->slots[a], f->slots[b].queue,
+                   tail != 0, Kctx(f).now());
     return 0;
   });
 }
 
 extern "C" uint64_t HipecJitBridgeRequest(JitFrame* f, uint64_t a, uint64_t b, uint64_t) {
   return Guarded(f, [&]() -> uint64_t {
-    int64_t n = LoadInt(f->slots[a]);
-    if (n < 0) {
-      throw PolicyError("Request: negative size");
-    }
-    return Ok(Manager(f)->RequestFrames(f->container, static_cast<size_t>(n),
-                                        f->slots[b].queue));
+    return Ok(RequestCommand(Manager(f), f->container, LoadInt(f->slots[a]), f->slots[b].queue));
   });
 }
 
 extern "C" uint64_t HipecJitBridgeReleaseQueue(JitFrame* f, uint64_t a, uint64_t, uint64_t) {
   return Guarded(f, [&]() -> uint64_t {
-    mach::VmPage* page = f->slots[a].queue->DequeueHead();
-    if (page == nullptr) {
-      return 0;
-    }
-    Manager(f)->ReleaseFrame(f->container, page);
-    return 1;
+    return Ok(ReleaseQueueCommand(Manager(f), f->container, f->slots[a].queue));
   });
 }
 
 extern "C" uint64_t HipecJitBridgeReleasePage(JitFrame* f, uint64_t a, uint64_t, uint64_t) {
   return Guarded(f, [&]() -> uint64_t {
-    OperandEntry& A = f->slots[a];
-    mach::VmPage* page = A.page;
-    if (page == nullptr) {
-      return 0;  // condition stays false, no error — matches kReleasePage
-    }
-    if (page->owner != f->container) {
-      throw PolicyError("Release of a frame the application does not own");
-    }
-    if (page->queue != nullptr) {
-      throw PolicyError("Release of a page still on a queue (DeQueue it first)");
-    }
-    Manager(f)->ReleaseFrame(f->container, page);
-    A.page = nullptr;
-    return 1;
+    return Ok(ReleasePageCommand(Manager(f), f->container, f->slots[a]));
   });
 }
 
 extern "C" uint64_t HipecJitBridgeFlush(JitFrame* f, uint64_t a, uint64_t, uint64_t) {
   return Guarded(f, [&]() -> uint64_t {
-    OperandEntry& A = f->slots[a];
-    mach::VmPage* page = RequirePage(static_cast<uint8_t>(a), A);
-    if (page->owner != f->container) {
-      throw PolicyError("Flush of a frame the application does not own");
-    }
-    if (page->queue != nullptr) {
-      throw PolicyError("Flush of a page still on a queue (DeQueue it first)");
-    }
-    A.page = Manager(f)->FlushExchange(f->container, page);
-    return 1;
+    return Ok(FlushCommand(Manager(f), f->container, static_cast<uint8_t>(a), f->slots[a]));
   });
 }
 
 extern "C" uint64_t HipecJitBridgeFind(JitFrame* f, uint64_t a, uint64_t b, uint64_t) {
   return Guarded(f, [&]() -> uint64_t {
-    Container* c = f->container;
-    auto vaddr = static_cast<uint64_t>(LoadInt(f->slots[b]));
-    mach::VmMapEntry* entry = c->task()->map().Lookup(vaddr);
-    mach::VmPage* page = nullptr;
-    if (entry != nullptr && entry->object == c->object()) {
-      page = c->object()->Lookup(entry->OffsetOf(vaddr));
-    }
-    f->slots[a].page = page;
-    return Ok(page != nullptr && page->owner == c);
+    return Ok(FindCommand(f->container, f->slots[a], LoadInt(f->slots[b])));
   });
 }
 
 extern "C" uint64_t HipecJitBridgeReplacement(JitFrame* f, uint64_t a, uint64_t b,
-                                              uint64_t kind) {
+                                              uint64_t op) {
   return Guarded(f, [&]() -> uint64_t {
     // Charge order matches the interpreter: surcharge first, then the empty-queue check.
     Kctx(f).Charge(Kctx(f).costs->complex_command_ns);
-    mach::PageQueue* queue = f->slots[a].queue;
-    if (queue->empty()) {
-      throw PolicyError("replacement-policy command on an empty queue");
-    }
-    mach::VmPage* victim;
-    if (static_cast<DispatchKind>(kind) == DispatchKind::kFifo) {
-      // Arrival order: the head is the oldest.
-      victim = queue->DequeueHead();
-    } else {
-      mach::VmPage* best = nullptr;
-      if (static_cast<DispatchKind>(kind) == DispatchKind::kLru) {
-        queue->ForEach([&](mach::VmPage* p) {
-          if (best == nullptr || p->last_reference_ns < best->last_reference_ns) {
-            best = p;
-          }
-          return true;
-        });
-      } else {
-        queue->ForEach([&](mach::VmPage* p) {
-          if (best == nullptr || p->last_reference_ns >= best->last_reference_ns) {
-            best = p;
-          }
-          return true;
-        });
-      }
-      queue->Remove(best);
-      victim = best;
-    }
-    f->slots[b].page = victim;
+    f->slots[b].page = SelectVictim(f->slots[a].queue, static_cast<Opcode>(op));
     f->executor->counters().Add(kCtrPolicyCommands);
     return 0;
   });
@@ -327,33 +218,14 @@ extern "C" uint64_t HipecJitBridgeReplacement(JitFrame* f, uint64_t a, uint64_t 
 
 extern "C" uint64_t HipecJitBridgeMigrate(JitFrame* f, uint64_t a, uint64_t b, uint64_t) {
   return Guarded(f, [&]() -> uint64_t {
-    OperandEntry& A = f->slots[a];
-    mach::VmPage* page = RequirePage(static_cast<uint8_t>(a), A);
-    if (page->owner != f->container) {
-      throw PolicyError("Migrate of a frame the application does not own");
-    }
-    if (page->queue != nullptr) {
-      throw PolicyError("Migrate of a page still on a queue (DeQueue it first)");
-    }
-    int64_t target = LoadInt(f->slots[b]);
-    bool cond = Manager(f)->MigrateFrame(f->container, page, static_cast<uint64_t>(target));
-    if (cond) {
-      A.page = nullptr;
-    }
-    return Ok(cond);
+    return Ok(MigrateCommand(Manager(f), f->container, static_cast<uint8_t>(a), f->slots[a],
+                             LoadInt(f->slots[b])));
   });
 }
 
 extern "C" uint64_t HipecJitBridgeUnlink(JitFrame* f, uint64_t a, uint64_t, uint64_t) {
   return Guarded(f, [&]() -> uint64_t {
-    mach::VmPage* page = RequirePage(static_cast<uint8_t>(a), f->slots[a]);
-    if (page->owner != f->container) {
-      throw PolicyError("Unlink of a frame the application does not own");
-    }
-    if (page->queue == nullptr) {
-      throw PolicyError("Unlink of a page that is not on a queue");
-    }
-    page->queue.load()->Remove(page);
+    UnlinkCommand(f->container, static_cast<uint8_t>(a), f->slots[a]);
     return 0;
   });
 }

@@ -44,8 +44,6 @@ extern "C" {
 uint64_t HipecJitBridgeCharge(JitFrame* f, uint64_t delta_ns, uint64_t, uint64_t);
 uint64_t HipecJitBridgeTrace(JitFrame* f, uint64_t cc, uint64_t op, uint64_t cond);
 uint64_t HipecJitBridgeActivate(JitFrame* f, uint64_t event, uint64_t, uint64_t);
-// DeQueue head/tail of queue slot b into page slot a (tail != 0 selects DequeueTail).
-uint64_t HipecJitBridgeDeq(JitFrame* f, uint64_t a, uint64_t b, uint64_t tail);
 // EnQueue page slot a onto queue slot b (also the second half of the fused Deq;Enq pair,
 // which passes the fused record's target queue as b).
 uint64_t HipecJitBridgeEnq(JitFrame* f, uint64_t a, uint64_t b, uint64_t tail);
@@ -54,8 +52,8 @@ uint64_t HipecJitBridgeReleaseQueue(JitFrame* f, uint64_t a, uint64_t, uint64_t)
 uint64_t HipecJitBridgeReleasePage(JitFrame* f, uint64_t a, uint64_t, uint64_t);
 uint64_t HipecJitBridgeFlush(JitFrame* f, uint64_t a, uint64_t, uint64_t);
 uint64_t HipecJitBridgeFind(JitFrame* f, uint64_t a, uint64_t b, uint64_t);
-// kFifo/kLru/kMru — `kind` is the DispatchKind; charges the complex-command surcharge.
-uint64_t HipecJitBridgeReplacement(JitFrame* f, uint64_t a, uint64_t b, uint64_t kind);
+// kFifo/kLru/kMru — `op` is the command's Opcode; charges the complex-command surcharge.
+uint64_t HipecJitBridgeReplacement(JitFrame* f, uint64_t a, uint64_t b, uint64_t op);
 uint64_t HipecJitBridgeMigrate(JitFrame* f, uint64_t a, uint64_t b, uint64_t);
 uint64_t HipecJitBridgeUnlink(JitFrame* f, uint64_t a, uint64_t, uint64_t);
 // kWeightedSelectMin/Max — queue slot a, destination page slot b, is_max selects the

@@ -660,7 +660,7 @@ bool EmitEventX86(const DecodedEvent& stream, const OperandArray& operands,
       case DispatchKind::kLru:
       case DispatchKind::kMru:
         EmitGuards();
-        EmitBridge(HipecJitBridgeReplacement, d.a, d.b, kind_index);
+        EmitBridge(HipecJitBridgeReplacement, d.a, d.b, d.raw_op);
         EmitStatusCheck();
         NonTestTail(cc16, d.raw_op);
         break;

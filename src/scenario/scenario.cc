@@ -268,6 +268,7 @@ class ScenarioRun {
     t.Snapshot();
     kernel_->TerminateTask(t.task, "scenario departure");
     t.result.terminated = true;
+    t.result.termination_reason = t.task->termination_reason();
     t.done = true;
   }
 
@@ -296,6 +297,7 @@ class ScenarioRun {
     }
     if (t.task->terminated()) {
       t.result.terminated = true;
+      t.result.termination_reason = t.task->termination_reason();
       t.done = true;
     } else if (t.source->pos() == t.source->size()) {
       t.result.completed = true;

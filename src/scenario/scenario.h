@@ -139,6 +139,9 @@ struct TenantResult {
   bool completed = false;         // issued every access in its trace
   bool terminated = false;        // task ended before completing (kill, policy error, departure)
   bool killed_by_checker = false;
+  // The task's termination_reason() when the run saw it end early; empty otherwise (and
+  // for a scheduler departure, which leaves the task running). Not part of Fingerprint().
+  std::string termination_reason;
   bool torn_down = false;         // region removed by a kTeardown injection
   size_t accesses_done = 0;
   int64_t faults_handled = 0;
@@ -148,6 +151,10 @@ struct TenantResult {
   int64_t frames_force_reclaimed = 0;
   int64_t frames_reclaimed_from = 0;
   size_t frames_peak = 0;         // high-water allocated_frames
+  // Host ns from the start of a real-threads run to the moment its scheduler saw the task end
+  // early, so a test can place the end against the checker's fuse; 0 otherwise, and under
+  // the deterministic RunScenario. Not part of Fingerprint().
+  int64_t ended_early_at_ns = 0;
 };
 
 struct BackgroundResult {

@@ -116,6 +116,7 @@ class Scheduler {
 
   SchedulerResult Run() {
     const auto start = std::chrono::steady_clock::now();
+    run_start_ns_ = HostNowNs();
     // The first wave is admitted from this thread, in spec order, one tenant per worker
     // queue: admission verdicts against the burst watermark then depend on the spec alone,
     // not on which worker thread wins the race to its first TryAdmit. Later admissions stay
@@ -209,6 +210,8 @@ class Scheduler {
     }
     if (run.task->terminated()) {
       run.result.terminated = true;
+      run.result.termination_reason = run.task->termination_reason();
+      run.result.ended_early_at_ns = HostNowNs() - run_start_ns_;
       Retire(run);
       return false;
     }
@@ -546,6 +549,7 @@ class Scheduler {
   std::unordered_set<uint64_t> killed_;
 
   int64_t audits_ = 0;
+  int64_t run_start_ns_ = 0;  // HostNowNs() when Run() began
   std::string violation_;
 };
 

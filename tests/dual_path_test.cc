@@ -1,9 +1,10 @@
-// Dual-path equivalence tests for the decode-once refactor: every policy must behave
-// byte-for-byte identically under the decoded-IR interpreter and the retained pre-IR switch
-// interpreter — same command-by-command trace (CC sequence, operator, condition flag after
-// each command), same outcome, same Return operand, same error text. Also the executor
-// error-path tests that must surface as ExecOutcome::kError with a useful message (never
-// undefined behavior): out-of-range jump targets, truncated streams, operand-kind misuse.
+// Dual-path equivalence tests: every policy must behave byte-for-byte identically under the
+// decoded-IR interpreter, the JIT and the pre-IR reference switch interpreter (the oracle,
+// with command bodies of its own) — same command-by-command trace (CC sequence, operator,
+// condition flag after each command), same outcome, same Return operand, same error text.
+// Also the executor error-path tests that must surface as ExecOutcome::kError with a useful
+// message (never undefined behavior): out-of-range jump targets, truncated streams,
+// operand-kind misuse, and every stateful command's run-time checks.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -105,18 +106,15 @@ void ExpectTracesIdentical(const World& ir, const World& sw) {
   }
 }
 
-// One interpreter configuration for a parity check: which loop runs, whether the IR loop
-// uses computed-goto dispatch, and whether the stream was decoded with superinstruction
-// fusion. The default is the production path.
+// One interpreter configuration for a parity check: which loop runs, and whether the stream
+// was decoded with superinstruction fusion. The default is the production path.
 struct PathConfig {
   DispatchMode mode = DispatchMode::kDecodedIr;
-  bool threaded = true;
   bool fuse = true;
 };
 
 Container* MakePathContainer(World& w, PolicyProgram program, const HipecOptions& options,
                              const PathConfig& config) {
-  w.executor.set_threaded_dispatch(config.threaded);
   Container* c = w.MakeContainer(std::move(program), options);
   if (!config.fuse) {
     c->AdoptDecodedProgram(
@@ -169,8 +167,7 @@ void ExerciseTable2PolicyPaths(const std::function<PolicyProgram()>& make_progra
   EXPECT_GT(ir.trace.size(), 0u);
 }
 
-// The headline pairing: production IR (fused, threaded where available) vs the pre-IR
-// reference interpreter.
+// The headline pairing: production IR (fused) vs the pre-IR reference interpreter.
 void ExerciseTable2Policy(const std::function<PolicyProgram()>& make_program,
                           HipecOptions options) {
   ExerciseTable2PolicyPaths(make_program, options, PathConfig{},
@@ -268,21 +265,6 @@ TEST(DualPathFusionTest, UnfusedIrVsReferenceSwitchLru) {
   ExerciseTable2PolicyPaths([] { return policies::LruPolicy(policies::CommandStyle::kComplex); },
                             options, PathConfig{.fuse = false},
                             PathConfig{.mode = DispatchMode::kReferenceSwitch});
-}
-
-// Computed-goto vs dense-switch instantiations of the IR loop, both fused.
-TEST(DualPathFusionTest, ThreadedVsSwitchDispatchFifoSecondChance) {
-  HipecOptions options;
-  options.min_frames = 8;
-  ExerciseTable2PolicyPaths([] { return policies::FifoSecondChancePolicy(); }, options,
-                            PathConfig{.threaded = true}, PathConfig{.threaded = false});
-}
-
-TEST(DualPathFusionTest, ThreadedVsSwitchDispatchTwoQueue) {
-  HipecOptions options = policies::TwoQueueOptions();
-  options.min_frames = 8;
-  ExerciseTable2PolicyPaths([] { return policies::TwoQueuePolicy(); }, options,
-                            PathConfig{.threaded = true}, PathConfig{.threaded = false});
 }
 
 // Guard against the equivalence tests above becoming vacuous: the Table 2 policies must
@@ -748,6 +730,118 @@ TEST(DualPathJitTest, ActivateNestsAndRecursionLimitMatches) {
   EXPECT_NE(result.error.find("recursion too deep"), std::string::npos) << result.error;
   ExpectTracesIdentical(jr, ir2);
 }
+
+// ------------------------------------------------------------------- run-time failures
+//
+// The IR loop and the JIT bridges share one kernel per stateful command (executor.h); the
+// reference interpreter has bodies of its own, and the JIT's native EnQueue template its own
+// checks. Each run-time failure below must come out of all three paths with the same
+// outcome, error text, trace and command count.
+
+struct RuntimeFailure {
+  const char* name;
+  // What the page variable holds when the PageFault event starts.
+  enum class PageVar { kEmpty, kForeign, kQueued } page_var;
+  std::vector<Instruction> commands;  // the event, before its Return
+  const char* error;
+};
+
+void PrintTo(const RuntimeFailure& f, std::ostream* os) { *os << f.name; }
+
+Instruction On(Opcode op, uint8_t a, uint8_t b = 0, uint8_t c = 0) {
+  return Instruction{op, a, b, c};
+}
+
+const RuntimeFailure kRuntimeFailures[] = {
+    {"EnQueueForeignPage", RuntimeFailure::PageVar::kForeign,
+     {On(Opcode::kEnQueue, ops::kPage, ops::kActiveQueue, 2)},
+     "EnQueue of a frame the application does not own"},
+    {"EnQueueQueuedPage", RuntimeFailure::PageVar::kQueued,
+     {On(Opcode::kEnQueue, ops::kPage, ops::kActiveQueue, 2)},
+     "EnQueue of a page that is already on a queue"},
+    {"ReleaseForeignPage", RuntimeFailure::PageVar::kForeign,
+     {On(Opcode::kRelease, ops::kPage)},
+     "Release of a frame the application does not own"},
+    {"ReleaseQueuedPage", RuntimeFailure::PageVar::kQueued,
+     {On(Opcode::kRelease, ops::kPage)},
+     "Release of a page still on a queue (DeQueue it first)"},
+    {"FlushQueuedPage", RuntimeFailure::PageVar::kQueued,
+     {On(Opcode::kFlush, ops::kPage)},
+     "Flush of a page still on a queue (DeQueue it first)"},
+    {"MigrateQueuedPage", RuntimeFailure::PageVar::kQueued,
+     {On(Opcode::kMigrate, ops::kPage, ops::kScratch0)},
+     "Migrate of a page still on a queue (DeQueue it first)"},
+    {"UnlinkOffQueuePage", RuntimeFailure::PageVar::kEmpty,
+     {On(Opcode::kDeQueue, ops::kPage, ops::kFreeQueue, 1), On(Opcode::kUnlink, ops::kPage)},
+     "Unlink of a page that is not on a queue"},
+    {"RequestNegativeSize", RuntimeFailure::PageVar::kEmpty,
+     {On(Opcode::kArith, ops::kScratch1, 1, static_cast<uint8_t>(ArithOp::kLoadImm)),
+      On(Opcode::kArith, ops::kScratch0, ops::kScratch1, static_cast<uint8_t>(ArithOp::kSub)),
+      On(Opcode::kRequest, ops::kScratch0, ops::kFreeQueue)},
+     "Request: negative size"},
+    {"FifoEmptyQueue", RuntimeFailure::PageVar::kEmpty,
+     {On(Opcode::kFifo, ops::kInactiveQueue, ops::kPage)},
+     "replacement-policy command on an empty queue"},
+    {"LruEmptyQueue", RuntimeFailure::PageVar::kEmpty,
+     {On(Opcode::kLru, ops::kInactiveQueue, ops::kPage)},
+     "replacement-policy command on an empty queue"},
+    {"MruEmptyQueue", RuntimeFailure::PageVar::kEmpty,
+     {On(Opcode::kMru, ops::kInactiveQueue, ops::kPage)},
+     "replacement-policy command on an empty queue"},
+    {"WeightedSelectEmptyQueue", RuntimeFailure::PageVar::kEmpty,
+     {On(Opcode::kWeightedSelect, ops::kInactiveQueue, ops::kPage,
+         static_cast<uint8_t>(SelectMode::kMin))},
+     "replacement-policy command on an empty queue"},
+};
+
+// A container running `failure`'s event, its page variable preloaded. A foreign page comes
+// off the free queue of a second container in the same world.
+Container* MakeFailureContainer(World& w, const RuntimeFailure& failure) {
+  std::vector<Instruction> commands = failure.commands;
+  commands.push_back(On(Opcode::kReturn, 0));
+  HipecOptions options;
+  options.min_frames = 8;
+  Container* c = w.MakeContainer(OneEvent(commands), options);
+  if (failure.page_var == RuntimeFailure::PageVar::kForeign) {
+    Container* other = w.MakeContainer(OneEvent({On(Opcode::kReturn, 0)}), options);
+    c->operands().WritePage(ops::kPage, other->free_q().DequeueHead());
+  } else if (failure.page_var == RuntimeFailure::PageVar::kQueued) {
+    c->operands().WritePage(ops::kPage, c->free_q().head());
+  }
+  return c;
+}
+
+class DualPathRuntimeFailureTest : public ::testing::TestWithParam<RuntimeFailure> {};
+
+TEST_P(DualPathRuntimeFailureTest, FailsIdenticallyOnEveryPath) {
+  const RuntimeFailure& failure = GetParam();
+  World ref(DispatchMode::kReferenceSwitch);
+  ExecResult expected =
+      ref.executor.ExecuteEvent(MakeFailureContainer(ref, failure), kEventPageFault);
+  EXPECT_EQ(expected.outcome, ExecOutcome::kError);
+  EXPECT_EQ(expected.error, failure.error);
+  EXPECT_EQ(expected.commands_executed, static_cast<int64_t>(failure.commands.size()));
+
+  for (DispatchMode mode : {DispatchMode::kDecodedIr, DispatchMode::kJit}) {
+    SCOPED_TRACE(mode == DispatchMode::kJit ? "jit" : "decoded_ir");
+    World w(mode);
+    ExecResult result = w.executor.ExecuteEvent(MakeFailureContainer(w, failure),
+                                                kEventPageFault);
+    EXPECT_EQ(result.outcome, expected.outcome);
+    EXPECT_EQ(result.error, expected.error);
+    EXPECT_EQ(result.commands_executed, expected.commands_executed);
+    ExpectTracesIdentical(w, ref);
+    if (mode == DispatchMode::kJit && jit::Available()) {
+      EXPECT_EQ(w.executor.counters().Get(kCtrJitFallbacksId), 0) << "ran the interpreter";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryCheck, DualPathRuntimeFailureTest,
+                         ::testing::ValuesIn(kRuntimeFailures),
+                         [](const ::testing::TestParamInfo<RuntimeFailure>& info) {
+                           return std::string(info.param.name);
+                         });
 
 // ------------------------------------------------------------------- IR consistency
 

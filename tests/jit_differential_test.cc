@@ -1,10 +1,11 @@
 // Differential fuzzing of the install-time template JIT against the IR interpreter: seeded
-// deterministic random policies, executed in two isolated worlds (DispatchMode::kJit vs
-// kDecodedIr), compared on outcome, error text, Return operand, command count, and the full
-// command-by-command trace. Policies are drawn from the valid instruction space but are NOT
-// required to run cleanly — runtime errors (empty dequeues, empty page variables, jumps off
-// the stream, division by zero, budget exhaustion on generated loops) are part of the
-// contract being checked: both engines must fail the same way at the same command.
+// deterministic random policies (700 seeds in three bands), executed in two isolated worlds
+// (DispatchMode::kJit vs kDecodedIr), compared on outcome, error text, Return operand,
+// command count, and the full command-by-command trace. Policies are drawn from the valid
+// instruction space but are NOT required to run cleanly — runtime errors (empty dequeues,
+// empty page variables, jumps off the stream, division by zero, budget exhaustion on
+// generated loops) are part of the contract being checked: both engines must fail the same
+// way at the same command.
 //
 // Everything is seeded, so a passing corpus is a permanent regression corpus — no flakes.
 #include <gtest/gtest.h>
@@ -34,6 +35,10 @@ namespace {
 
 namespace ops = std_ops;
 using mach::kPageSize;
+
+// Holds container 2's id, the frame band's Migrate target. No draw of the first 18 families
+// reads it.
+constexpr uint8_t kPeerId = ops::kUserBase;
 
 mach::KernelParams FuzzParams() {
   mach::KernelParams params;
@@ -71,16 +76,23 @@ struct World {
     Container* c = containers.back().get();
     HipecOptions options;
     options.min_frames = 8;
+    options.user_int_inits = {{kPeerId, 2, /*read_only=*/true}};
     SetupStandardOperands(c, options);
     EXPECT_TRUE(manager.AdmitContainer(c));
     return c;
   }
 };
 
+// The generator's command families: the first 18 (the original corpus), or those plus the
+// frame commands — Release (both forms), Flush, Migrate and Unlink. A seed draws the same
+// program as long as its family count stays the same.
+constexpr uint64_t kBaseFamilies = 18;
+constexpr uint64_t kAllFamilies = 23;
+
 // One random command. Jump targets stay within [1, n_commands] (decoder-legal); operand
 // indices are drawn from the standard layout so the decoder accepts most commands and the
 // rest die as decode-time traps — identically in both engines.
-Instruction RandomInstruction(std::mt19937_64& rng, int n_commands) {
+Instruction RandomInstruction(std::mt19937_64& rng, int n_commands, uint64_t families) {
   auto pick = [&](std::initializer_list<uint8_t> choices) {
     std::vector<uint8_t> v(choices);
     return v[rng() % v.size()];
@@ -92,7 +104,7 @@ Instruction RandomInstruction(std::mt19937_64& rng, int n_commands) {
   const uint8_t queue_op = pick({ops::kFreeQueue, ops::kActiveQueue, ops::kInactiveQueue});
   const uint8_t target = static_cast<uint8_t>(1 + rng() % static_cast<uint64_t>(n_commands));
 
-  switch (rng() % 18) {
+  switch (rng() % families) {
     case 0:
       return Instruction{Opcode::kArith, writable_int, static_cast<uint8_t>(rng() % 256),
                          static_cast<uint8_t>(ArithOp::kLoadImm)};
@@ -161,18 +173,31 @@ Instruction RandomInstruction(std::mt19937_64& rng, int n_commands) {
                          pick({ops::kFaultAddr, ops::kFreeTarget, ops::kScratch0,
                                ops::kActiveCount}),
                          pick({0, 1, 1, 2, 2, 3})};
-    default:
+    case 17:
       return Instruction{Opcode::kFind, ops::kPage, ops::kFaultAddr, 0};
+    case 18:
+      return Instruction{Opcode::kRelease, queue_op, 0, 0};
+    case 19:
+      // The page variable may be empty, still queued or off-queue: each outcome (condition
+      // false, error, release) must match.
+      return Instruction{Opcode::kRelease, ops::kPage, 0, 0};
+    case 20:
+      return Instruction{Opcode::kFlush, ops::kPage, 0, 0};
+    case 21:
+      // The target is a container id: the peer's, or whatever an int operand holds.
+      return Instruction{Opcode::kMigrate, ops::kPage, pick({kPeerId, int_op}), 0};
+    default:
+      return Instruction{Opcode::kUnlink, ops::kPage, 0, 0};
   }
 }
 
-PolicyProgram RandomPolicy(uint64_t seed) {
+PolicyProgram RandomPolicy(uint64_t seed, uint64_t families) {
   std::mt19937_64 rng(seed);
   const int n = static_cast<int>(4 + rng() % 20);
   std::vector<Instruction> commands;
   commands.reserve(static_cast<size_t>(n) + 1);
   for (int i = 0; i < n; ++i) {
-    commands.push_back(RandomInstruction(rng, n + 1));
+    commands.push_back(RandomInstruction(rng, n + 1, families));
   }
   commands.push_back(Instruction{Opcode::kReturn, ops::kPage, 0, 0});
 
@@ -185,12 +210,18 @@ PolicyProgram RandomPolicy(uint64_t seed) {
 }
 
 // Runs one generated policy in both engines and asserts byte-identical observable behavior.
-void RunDifferential(uint64_t seed) {
+void RunDifferential(uint64_t seed, uint64_t families = kBaseFamilies) {
   SCOPED_TRACE("seed=" + std::to_string(seed));
   World jw(DispatchMode::kJit);
   World iw(DispatchMode::kDecodedIr);
-  Container* ca = jw.MakeContainer(RandomPolicy(seed));
-  Container* cb = iw.MakeContainer(RandomPolicy(seed));
+  Container* ca = jw.MakeContainer(RandomPolicy(seed, families));
+  Container* cb = iw.MakeContainer(RandomPolicy(seed, families));
+  if (families == kAllFamilies) {
+    // A peer that takes migrations, so Migrate can succeed as well as be refused.
+    for (World* w : {&jw, &iw}) {
+      w->MakeContainer(RandomPolicy(seed, families))->accepts_migration = true;
+    }
+  }
 
   // A couple of faults so queue/page state mutates between events, then a reclaim pass.
   for (int round = 0; round < 3; ++round) {
@@ -246,6 +277,17 @@ TEST(JitDifferentialTest, SeededCorpus) {
 TEST(JitDifferentialTest, SeededCorpusStride) {
   for (uint64_t seed = 0x9E3779B97F4A7C15ull; seed > 0x9E3779B97F4A7C15ull - 100; --seed) {
     RunDifferential(seed);
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+}
+
+// A third band that also draws the frame commands, whose kernels the IR loop and the JIT
+// bridges share: giving frames back, write-back exchanges, migration and unlinking.
+TEST(JitDifferentialTest, SeededCorpusFrameCommands) {
+  for (uint64_t seed = 10'001; seed <= 10'300; ++seed) {
+    RunDifferential(seed, kAllFamilies);
     if (HasFatalFailure()) {
       return;
     }

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <utility>
@@ -29,6 +30,13 @@ using mach::kPageSize;
 using workloads::PatternKind;
 using workloads::SyntheticSpec;
 using workloads::Workload;
+
+// Why a tenant stopped short of its trace, for the shaped-contention tests' messages.
+std::string EndedBecause(const TenantResult& t) {
+  return " (killed_by_checker=" + std::to_string(t.killed_by_checker) + ", reason \"" +
+         t.termination_reason + "\", " + std::to_string(t.ended_early_at_ns / 1'000'000) +
+         " ms into the run)";
+}
 
 // A small mixed population: every policy/pattern family, some writers, some departures.
 // `accesses` overrides the stream length.
@@ -203,8 +211,8 @@ TEST(SchedulerTest, ThunderingHerdShapedContentionHoldsInvariants) {
   EXPECT_GT(r.total_faults, 0);
   for (const TenantResult& t : r.tenants) {
     EXPECT_TRUE(t.admitted) << t.name;
-    EXPECT_TRUE(t.completed) << t.name << " terminated early";
-    EXPECT_EQ(t.accesses_done, 2000u) << t.name;
+    EXPECT_TRUE(t.completed) << t.name << " terminated early" << EndedBecause(t);
+    EXPECT_EQ(t.accesses_done, 2000u) << t.name << EndedBecause(t);
   }
   EXPECT_EQ(r.total_accesses, 8u * 2000u);
 }
@@ -248,6 +256,10 @@ TEST(SchedulerTest, HogVsManyShapedContentionHoldsInvariants) {
     // terminated; silently stalling (neither flag) would hang the join, so reaching here
     // with both false means the driver mis-reported.
     EXPECT_TRUE(t.completed || t.terminated) << t.name;
+    if (!t.completed) {
+      std::printf("%s ended early after %zu accesses:%s\n", t.name.c_str(), t.accesses_done,
+                  EndedBecause(t).c_str());
+    }
   }
 }
 
